@@ -131,6 +131,10 @@ def _run_profile(spec) -> None:
 def _profile_grid_specs(args: argparse.Namespace):
     """The full cell grid for figures whose ``--profile`` should show
     the batched path (``None`` -> profile a single cell instead)."""
+    if args.figure == "fig6":
+        from repro.experiments.perf_crypto import figure6_specs
+
+        return figure6_specs(message_kb=args.message_kb, seed=args.seed)
     if args.figure != "fig10":
         return None
     from repro.experiments.perf_general import figure10_specs
@@ -141,6 +145,9 @@ def _profile_grid_specs(args: argparse.Namespace):
 def _batch_label(batch) -> str:
     first = batch.cells[0]
     detail = getattr(first, "benchmark", None)
+    if batch.kind == "crypto":
+        config = first.config
+        detail = f"{config.l1d_size // 1024}KB/{config.l1d_assoc}-way"
     if not detail:
         channel = getattr(first, "channel", "")
         scheme = getattr(first, "scheme", "")
@@ -160,7 +167,7 @@ def _run_profile_batched(specs, batch) -> bool:
     from repro.check import check_rate_from_env
     from repro.cpu.batch import lane_eligible
     from repro.runner.batch import (
-        BatchItem, plan_batches, resolve_batch, resolve_lanes,
+        LANE_KINDS, BatchItem, plan_batches, resolve_batch, resolve_lanes,
     )
     from repro.runner.profiler import profile_batch
 
@@ -181,7 +188,7 @@ def _run_profile_batched(specs, batch) -> bool:
     lane_batch = None
     for item in batches:
         eligible = 0
-        if item.batch.kind == "general" and lane_width >= 2:
+        if item.batch.kind in LANE_KINDS and lane_width >= 2:
             eligible = sum(lane_eligible(spec) for spec in item.batch.cells)
         fallback = len(item.indices) - eligible
         lanes_note = (f"{eligible:3d} lane / {fallback} fallback"
@@ -362,7 +369,8 @@ def sweep(args: argparse.Namespace) -> None:
     stats = last_run_stats()
     _print_run_stats(stats, jobs, resume=args.resume)
     if args.report:
-        entry = {"figure": args.figure, "seed": args.seed, **stats}
+        entry = {"figure": args.figure, "seed": args.seed, "n_refs": args.n_refs,
+                 "message_kb": args.message_kb, **stats}
         record_bench(f"sweep_{args.figure}", entry, path=args.report)
         print(f"recorded under 'sweep_{args.figure}' in {args.report}")
 

@@ -2,7 +2,8 @@
 
 A Figure-10-style sweep runs many cells that differ only in window,
 seed knob, or scheme while replaying the *same* trace through the same
-cache geometry.  The per-cell path re-derives the decode columns and
+cache geometry; a Figure 6 sweep runs four schemes per L1 geometry over
+one AES-CBC trace.  The per-cell path re-derives the decode columns and
 re-warms the L2 for every one of them; this module computes that shared
 work once per batch group and lowers each eligible cell onto the flat
 kernel (:func:`repro.cpu.timing.run_flat_general`) or — several lanes
@@ -11,30 +12,41 @@ at a time — onto the lane-parallel kernel
 
 * :class:`GeneralGroupState` — the per-(trace, config, warm) inputs:
   decoded line/step columns of the measured slice and the warmed L2
-  contents as plain int lists (copied per cell, the copy is cheap),
-* :func:`lower_cell` — build the cell's scheme, check that it is
-  exactly the stock set-associative/LRU configuration the kernels
-  transcribe, and pregenerate its random-fill draw row from its own
-  derived RNG stream; ineligible cells lower to ``None`` and the
-  caller falls back to :func:`repro.runner.cells.run_cell`,
+  contents as plain int lists (copied per cell, the copy is cheap).
+  ``"general"`` groups decode a workload trace (warm split optional);
+  ``"crypto"`` groups decode the whole AES-CBC trace over an empty L2,
+* :func:`lower_cell` — build the cell's scheme exactly as its
+  per-cell runner does (crypto cells with the AES tables protected,
+  then the scheme's ``prepare()``, e.g. the PLcache preload), check
+  that it is a configuration the kernels transcribe, snapshot any
+  state the setup left (start cycle, L1 image with lock bits, L2
+  image, DRAM rows/banks), and pregenerate its random-fill draw row
+  from its own derived RNG stream; ineligible cells lower to ``None``
+  and the caller falls back to :func:`repro.runner.cells.run_cell`,
 * :func:`run_lowered_cell` / :func:`run_batched_cell` — one cell
-  through the scalar flat kernel,
+  through the scalar flat kernel, or — for a cell with carried-in
+  state or policy hooks — a width-1 lane call,
 * :func:`run_lane_cells` — a group of lowered cells through the lane
   kernel in one shared trace pass (the lanes must agree on
   :meth:`LoweredCell.shared_key`),
 * :func:`lane_eligible` — the structural half of the eligibility check
   from the spec alone (no trace load), for plan displays.
 
-Results are bit-identical to the per-cell path: the kernels are exact
-transcriptions of the fused kernel plus settle, the warm replay mirrors
-``warm_l2``, and the draw row reproduces the scalar ``draw()`` stream
+The kernels cover the stock set-associative/LRU L1 with demand fetch
+or a power-of-two random-fill window, plus two policy hooks: PLcache
+lock bits (a lock-aware victim choice) and the disable-cache scheme's
+L1 bypass of the protected lines.  Results are bit-identical to the
+per-cell path: the kernels are exact transcriptions of the fused
+kernel plus settle, the warm replay mirrors ``warm_l2``, the snapshot
+is the object model's own post-setup state, and the draw row
+reproduces the scalar ``draw()`` stream
 (:meth:`repro.util.rng.HardwareRng.pregenerate`).
 """
 
 from __future__ import annotations
 
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.controller import DemandFetchPolicy
 from repro.cache.l2 import L2Cache
@@ -44,6 +56,9 @@ from repro.cpu.lanes import LaneCell, masked_offsets, run_lanes_general
 from repro.cpu.timing import SimResult, run_flat_general
 from repro.cpu.trace import Trace
 from repro.memory.dram import DramModel
+from repro.secure.nocache import DisableCachePolicy
+from repro.secure.plcache import PLCache
+from repro.secure.region import RegionSet
 
 #: thread whose window registers drive a batched run (the timing model's
 #: default context)
@@ -58,8 +73,8 @@ class GeneralGroupState:
     copy of the warmed L2 sets (mutated by its kernel run).
     """
 
-    __slots__ = ("config", "lines", "steps", "instructions",
-                 "l2_num_sets", "l2_assoc", "_warm_l2_sets")
+    __slots__ = ("config", "lines", "steps", "line_array", "step_array",
+                 "instructions", "l2_num_sets", "l2_assoc", "_warm_l2_sets")
 
     def __init__(self, trace: Trace, config, warm: bool):
         self.config = config
@@ -77,6 +92,10 @@ class GeneralGroupState:
         decode = measured.decoded(line_shift)
         self.lines: List[int] = decode.lines_list()
         self.steps: List[int] = decode.issue_steps(config.issue_width)
+        # The same columns as int64 arrays, which the native lane kernel
+        # reads in place (converting the lists costs more per call).
+        self.line_array = decode.lines()
+        self.step_array = decode.issue_step_array(config.issue_width)
         self.instructions: int = measured.instruction_count
         self.l2_num_sets = (config.l2_size // config.line_size) \
             // config.l2_assoc
@@ -113,7 +132,15 @@ class GeneralGroupState:
 
 
 def group_state_for(spec) -> GeneralGroupState:
-    """Build the shared state for a batch group from one member spec."""
+    """Build the shared state for a batch group from one member spec.
+
+    Crypto cells replay the whole AES-CBC trace from an empty L2 (the
+    per-cell path builds a fresh hierarchy and never warms it).
+    """
+    if spec.kind == "crypto":
+        from repro.experiments.perf_crypto import cached_cbc_trace
+        trace = cached_cbc_trace(message_kb=spec.message_kb, seed=spec.seed)
+        return GeneralGroupState(trace, spec.config, warm=False)
     from repro.workloads.cache import cached_workload
     trace = cached_workload(spec.benchmark, n_refs=spec.n_refs,
                             seed=spec.seed)
@@ -126,19 +153,70 @@ class LoweredCell:
     The shared fields (geometry, capacities, latencies, DRAM timing)
     must agree between lanes run together — :meth:`shared_key` is the
     grouping key; ``policy_kind`` / ``rf_a`` / ``rf_mask`` / ``draws``
-    are the per-lane split.
+    are the per-lane split, and ``start`` / ``l1_image`` /
+    ``l2_image`` / ``dram_state`` / ``bypass`` the lane's carried-in
+    state and hooks (see :class:`repro.cpu.lanes.LaneCell`).
     """
 
     __slots__ = ("l1_num_sets", "l1_assoc", "l2_hit_latency",
                  "mq_capacity", "fill_reserve", "fill_queue_capacity",
                  "hit_cost", "mlp", "credit", "dram",
-                 "policy_kind", "rf_a", "rf_mask", "draws")
+                 "policy_kind", "rf_a", "rf_mask", "draws",
+                 "start", "l1_image", "l2_image", "dram_state", "bypass")
 
     def shared_key(self):
         return (self.l1_num_sets, self.l1_assoc, self.l2_hit_latency,
                 self.mq_capacity, self.fill_reserve,
                 self.fill_queue_capacity, self.hit_cost, self.mlp,
                 self.credit, self.dram)
+
+    @property
+    def hooked(self) -> bool:
+        """Does the cell need the lane kernel's carry-in or hooks?"""
+        return bool(self.start or self.l1_image or self.l2_image
+                    or self.dram_state or self.bypass)
+
+    def lane_cell(self) -> LaneCell:
+        """This cell's per-lane kernel inputs."""
+        offsets = None
+        if self.policy_kind == 2:
+            offsets = masked_offsets(self.draws, self.rf_a, self.rf_mask)
+        return LaneCell(self.policy_kind, offsets, start=self.start,
+                        l1=self.l1_image, l2=self.l2_image,
+                        dram=self.dram_state, bypass=self.bypass)
+
+
+def _image(tag: SetAssociativeCache) -> Optional[Dict]:
+    """Sparse ``{set: [(line, locked), ...]}`` snapshot, MRU first;
+    ``None`` for an empty store (every cell without a setup routine)."""
+    if not any(tag._sets):
+        return None
+    return {s: [(ls.line_addr, ls.locked) for ls in ways]
+            for s, ways in enumerate(tag._sets) if ways}
+
+
+def _build(spec, config):
+    """Build and set up the cell's scheme exactly as its runner does.
+
+    Returns ``(scheme, start)``: ``run_general_workload`` builds with no
+    protected regions and programs the window with ``set_rr``;
+    ``run_crypto_workload`` builds through :func:`prepare_crypto_scheme`.
+    """
+    if spec.kind == "crypto":
+        from repro.core.window import RandomFillWindow
+        from repro.experiments.perf_crypto import prepare_crypto_scheme
+
+        window = RandomFillWindow(*spec.window) \
+            if spec.window is not None else None
+        return prepare_crypto_scheme(spec.scheme, config, window=window,
+                                     seed=spec.seed)
+    from repro.experiments.schemes import build_scheme
+
+    scheme = build_scheme(spec.scheme, config, seed=spec.seed)
+    window = spec.window if spec.window is not None else (0, 0)
+    if scheme.os is not None:
+        scheme.os.set_rr(*window)
+    return scheme, 0
 
 
 def _lower(spec, config, l2_num_sets, l2_assoc,
@@ -150,17 +228,18 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
     eligibility display; a real run lowers with one draw per trace
     record.
     """
-    from repro.experiments.schemes import build_scheme
-    from repro.runner.cells import CellSpec
+    from repro.runner.cells import LANE_KINDS, CellSpec
     from repro.schemes import get_scheme
 
-    if not isinstance(spec, CellSpec) or spec.kind != "general":
+    if not isinstance(spec, CellSpec) or spec.kind not in LANE_KINDS:
         return None
     # Declarative early-out from the scheme registry: schemes not
-    # flagged lane_eligible never lower, and pow2_window_only schemes
-    # skip the build for windows the mask path cannot draw.  The
-    # structural checks below stay as the authority for flagged
-    # schemes (a conformance test pins flag/structure agreement).
+    # flagged lane_eligible never lower, pow2_window_only schemes skip
+    # the build for windows the mask path cannot draw, and schemes
+    # that need protected regions only build for crypto cells (general
+    # cells have none).  The structural checks below stay as the
+    # authority for flagged schemes (a conformance test pins
+    # flag/structure agreement).
     registered = get_scheme(spec.scheme, timing=True)
     if not registered.lane_eligible:
         return None
@@ -168,17 +247,25 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
         size = spec.window[0] + spec.window[1] + 1
         if size > 1 and size & (size - 1):
             return None
-    scheme = build_scheme(spec.scheme, config, seed=spec.seed)
-    window = spec.window if spec.window is not None else (0, 0)
-    if scheme.os is not None:
-        scheme.os.set_rr(*window)
+    if registered.needs_protected and spec.kind != "crypto":
+        return None
+    scheme, start = _build(spec, config)
 
     l1 = scheme.l1
     tag = l1.tag_store
-    if type(tag) is not SetAssociativeCache \
+    policy = l1._policy
+    if type(tag) not in (SetAssociativeCache, PLCache) \
             or not (tag._lru_hits and tag._mru_fills and tag._max_victims) \
-            or l1._policy_bypasses or l1._policy_on_hit is not None:
+            or l1._policy_on_hit is not None:
         return None
+    bypass: Tuple[Tuple[int, int], ...] = ()
+    if l1._policy_bypasses:
+        if type(policy) is not DisableCachePolicy \
+                or type(policy.protected) is not RegionSet:
+            return None
+        bypass = tuple((region.first_line,
+                        region.first_line + region.num_lines)
+                       for region in policy.protected)
     l2 = l1.next_level
     if type(l2) is not L2Cache:
         return None
@@ -192,13 +279,14 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
     dram = l2.dram
     if type(dram) is not DramModel:
         return None
-    # The kernel starts from empty in-flight/warm state; a freshly
-    # built scheme always satisfies this.
-    if len(l1.miss_queue) or l1.fill_queue or dram._open_row \
-            or dram._bank_free_at:
+    # Setup may leave requests in flight (the PLcache preload's last
+    # line): retire what completes by the start cycle — the first
+    # record's drain would retire it at the same point in order.  The
+    # kernel carries cache and DRAM state in, but not in-flight state.
+    l1._drain(start)
+    if len(l1.miss_queue) or l1.fill_queue:
         return None
 
-    policy = l1._policy
     policy_kind = 1
     rf_a = rf_mask = 0
     draws: Sequence[int] = ()
@@ -215,7 +303,7 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
             # stream and reproduces scalar draw() bit-exactly.
             if n_draws:
                 draws = engine._rng.pregenerate(n_draws)
-    elif type(policy) is not DemandFetchPolicy:
+    elif type(policy) not in (DemandFetchPolicy, DisableCachePolicy):
         return None
 
     cfg = dram.config
@@ -238,18 +326,27 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
     lowered.rf_a = rf_a
     lowered.rf_mask = rf_mask
     lowered.draws = draws
+    lowered.start = start
+    lowered.l1_image = _image(tag)
+    lowered.l2_image = _image(l2_tag)
+    lowered.dram_state = None
+    if dram._open_row or dram._bank_free_at:
+        lowered.dram_state = (dict(dram._open_row), dict(dram._bank_free_at))
+    lowered.bypass = bypass
     return lowered
 
 
 def lower_cell(spec, group: GeneralGroupState) -> Optional[LoweredCell]:
     """Lower one cell onto kernel parameters, or ``None`` if ineligible.
 
-    The cell's scheme is built exactly as ``run_general_workload``
-    builds it (same ``build_scheme`` seed derivation, same ``set_rr``),
-    then checked: only the stock set-associative/LRU L1 and L2 with a
-    demand-fetch or power-of-two random-fill policy qualify — the same
-    configurations the fused kernel covers, minus the non-power-of-two
-    windows that draw via ``draw_below``.
+    The cell's scheme is built and set up exactly as
+    ``run_general_workload`` / ``run_crypto_workload`` build it (same
+    ``build_scheme`` seed derivation and window, same ``prepare()``),
+    then checked: a set-associative/LRU L1 (PLcache lock bits allowed)
+    and L2 with a demand-fetch, disable-cache or power-of-two
+    random-fill policy qualify — the configurations the fused and
+    object-model paths run, minus the non-power-of-two windows that
+    draw via ``draw_below``.
     """
     if spec.config != group.config:
         return None
@@ -264,9 +361,9 @@ def lane_eligible(spec) -> bool:
     (cheap) but skips the draw-row pregeneration, so no workload trace
     is loaded.
     """
-    from repro.runner.cells import CellSpec
+    from repro.runner.cells import LANE_KINDS, CellSpec
 
-    if not isinstance(spec, CellSpec) or spec.kind != "general":
+    if not isinstance(spec, CellSpec) or spec.kind not in LANE_KINDS:
         return False
     config = spec.config
     l2_num_sets = (config.l2_size // config.line_size) // config.l2_assoc
@@ -276,7 +373,13 @@ def lane_eligible(spec) -> bool:
 
 def run_lowered_cell(group: GeneralGroupState,
                      lowered: LoweredCell) -> SimResult:
-    """Run one lowered cell through the scalar flat kernel."""
+    """Run one lowered cell through the scalar flat kernel.
+
+    A hooked cell (carried-in state, lock bits or an L1 bypass) runs as
+    a width-1 lane call instead: the hooks live in the lane kernel only.
+    """
+    if lowered.hooked:
+        return run_lane_cells(group, [lowered])[0]
     return run_flat_general(
         group.lines, group.steps, group.instructions,
         l1_num_sets=lowered.l1_num_sets, l1_assoc=lowered.l1_assoc,
@@ -310,16 +413,9 @@ def run_lane_cells(group: GeneralGroupState,
     if not lowered:
         return []
     first = lowered[0]
-    cells = [
-        LaneCell(
-            lc.policy_kind,
-            masked_offsets(lc.draws, lc.rf_a, lc.rf_mask)
-            if lc.policy_kind == 2 else None,
-        )
-        for lc in lowered
-    ]
+    cells = [lc.lane_cell() for lc in lowered]
     return run_lanes_general(
-        group.lines, group.steps, group.instructions,
+        group.line_array, group.step_array, group.instructions,
         l1_num_sets=first.l1_num_sets, l1_assoc=first.l1_assoc,
         l2_sets=group.l2_sets_view(),
         l2_num_sets=group.l2_num_sets, l2_assoc=group.l2_assoc,

@@ -101,22 +101,25 @@ class TraceDecode:
 
     # -- issue front-end -----------------------------------------------------
 
-    def issue_steps(self, issue_width: int) -> List[int]:
+    def issue_step_array(self, issue_width: int) -> np.ndarray:
         """Cycles the issue front-end advances before each record.
 
         Equivalent to the scalar recurrence ``backlog += gap;
         step = backlog // width; backlog %= width`` — the running
         backlog is just the cumulative gap count modulo ``width``, so
         the per-record step is the difference of
-        ``cumsum(gap) // width``.
+        ``cumsum(gap) // width``.  Not memoized (the list form is).
         """
+        if issue_width < 1:
+            raise ValueError(f"issue_width must be >= 1, got {issue_width}")
+        issued = np.cumsum(self.trace.gap) // issue_width
+        return np.diff(issued, prepend=0)
+
+    def issue_steps(self, issue_width: int) -> List[int]:
+        """:meth:`issue_step_array` as a list (memoized per width)."""
         cached = self._issue_steps.get(issue_width)
         if cached is None:
-            if issue_width < 1:
-                raise ValueError(
-                    f"issue_width must be >= 1, got {issue_width}")
-            issued = np.cumsum(self.trace.gap) // issue_width
-            cached = np.diff(issued, prepend=0).tolist()
+            cached = self.issue_step_array(issue_width).tolist()
             self._issue_steps[issue_width] = cached
         return cached
 

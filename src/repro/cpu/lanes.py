@@ -7,6 +7,21 @@ N-cell group costs N Python interpreter passes over the same columns.
 This module runs all eligible cells of a group as independent *lanes*
 over the shared columns in a single kernel call.
 
+There is one cache loop; scheme differences are small per-lane hooks
+and carried-in state (:class:`LaneCell`), in the spirit of a
+replacement-policy module plugged into one simulator loop:
+
+* a start cycle and starting L1 / L2 / DRAM state — what a scheme's
+  setup routine left behind (the PLcache preload's locked lines, its
+  L2 fills, its open DRAM rows);
+* lock-aware installs: a cache image may carry per-way lock bits, and
+  a fill then evicts the least-recently-used *unlocked* way, or is
+  refused when every way is locked (``SetAssociativeCache.fill``);
+* an L1-bypass line predicate (the disable-cache scheme): after the
+  due drain, a bypassed access costs one L2 access and one demand
+  miss, charged like a fresh miss with no MSHR stall, and leaves the
+  L1, MSHR and fill queue untouched (``L1Controller.access_line``).
+
 numpy prepares the shared column work — the decoded trace is reused
 as-is, the per-record step column is shared, and each lane's
 pregenerated random-fill draw row is masked to fill offsets in one
@@ -14,11 +29,12 @@ vectorized pass (``(draw & mask) - a``, Table II bounds; see
 :func:`masked_offsets`).  The per-record state machine itself runs in
 a small C kernel (``lanes_kernel.c``), compiled once with the host
 toolchain and loaded through :mod:`ctypes`; results are
-**bit-identical** to the flat kernel because the C code is a
-branch-for-branch transcription (drain order, fill-queue drop/merge
-rules, MSHR-full stall, MLP charge table with its prune threshold, and
-the settle loop) and every quantity fits int64 with all divisions on
-non-negative operands.
+**bit-identical** to the flat kernel (and, for lanes with carried-in
+state or hooks, to the object model the hooks transcribe) because the
+C code is a branch-for-branch transcription (drain order, fill-queue
+drop/merge rules, MSHR-full stall, MLP charge table with its prune
+threshold, and the settle loop) and every quantity fits int64 with all
+divisions on non-negative operands.
 
 Why C and not numpy record-steps: this kernel went through three
 measured all-Python designs first — the issue-sketched
@@ -34,6 +50,14 @@ miss/merge-dominated, so per-event interpreter constants bound any
 same-language kernel near 1x.  That tuned per-lane kernel ships as
 :func:`_run_lane_python`, the fallback when no C compiler is
 available; the native kernel is the performance path.
+
+The compiled library is cached under a hash of its source and compile
+flags (:func:`artifact_path`) and must export the ABI stamp
+``run_lanes_abi`` equal to :data:`LANES_ABI`.  A library that fails to
+load or lacks the stamp is never called: the process falls back to the
+Python kernel, and the runner reports why once, as a
+``lanes_fallback`` telemetry event (:func:`take_native_fallback`).  A
+bad artifact can change how long a run takes, never its results.
 """
 
 from __future__ import annotations
@@ -46,7 +70,7 @@ import subprocess
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,8 +94,15 @@ LAST_STATS: dict = {}
 #: bound (C returns -2); such configs take the Python fallback
 _NATIVE_MQ_LIMIT = 64
 
+#: the ABI stamp ``lanes_kernel.c`` must export as ``run_lanes_abi``;
+#: a library without it (or with another value) is never called
+LANES_ABI = 2
+
 _native_fn = None
 _native_tried = False
+#: why the compiled kernel is unavailable in this process, until the
+#: runner reports it once (:func:`take_native_fallback`)
+_native_error: Optional[str] = None
 
 
 class LaneCell:
@@ -81,14 +112,30 @@ class LaneCell:
     ``(draw & rf_mask) - rf_a`` as an int64 array (one entry per trace
     record, masked in one numpy pass from the cell's own derived RNG
     stream); ``None`` for demand-fetch lanes (``policy_kind`` 1).
+
+    The rest is carried-in state, all defaulting to a fresh hierarchy
+    whose L2 is the group's: ``start`` is the first cycle; ``l1`` /
+    ``l2`` are sparse cache images ``{set: [(line, locked), ...]}``
+    (MRU first; ``l2`` replaces the group's L2 for this lane); ``dram``
+    is ``(open_row, bank_free)``, two ``{bank: value}`` dicts; and
+    ``bypass`` holds ``(lo, hi)`` line ranges that skip the L1.
     """
 
-    __slots__ = ("policy_kind", "offsets")
+    __slots__ = ("policy_kind", "offsets", "start", "l1", "l2", "dram",
+                 "bypass")
 
     def __init__(self, policy_kind: int,
-                 offsets: Optional[np.ndarray] = None):
+                 offsets: Optional[np.ndarray] = None, start: int = 0,
+                 l1: Optional[Dict] = None, l2: Optional[Dict] = None,
+                 dram: Optional[Tuple[Dict, Dict]] = None,
+                 bypass: Tuple[Tuple[int, int], ...] = ()):
         self.policy_kind = policy_kind
         self.offsets = offsets
+        self.start = start
+        self.l1 = l1
+        self.l2 = l2
+        self.dram = dram
+        self.bypass = bypass
 
 
 def masked_offsets(draws: Sequence[int], rf_a: int,
@@ -101,40 +148,60 @@ def masked_offsets(draws: Sequence[int], rf_a: int,
     return (np.asarray(draws, dtype=np.int64) & rf_mask) - rf_a
 
 
-def _compile_native() -> Optional[ctypes.CDLL]:
-    """Build (or reuse) the shared library for ``lanes_kernel.c``.
+_SOURCE = Path(__file__).with_name("lanes_kernel.c")
 
-    The object is cached under ``$REPRO_LANES_CACHE`` (default: a
-    ``repro-lanes`` directory in the system temp dir) keyed by source
-    hash, so each kernel revision compiles once per machine.  Returns
-    ``None`` when no C compiler is available or compilation fails —
-    callers fall back to the Python kernel.
+#: compile recipe, part of the artifact name.  -O1 rather than -O2: the
+#: kernel is branchy integer code, and on the 2-vCPU reference host -O2
+#: ran Figure 10's lanes no faster (within 5%) while adding ~0.1 s to
+#: the compile every fresh process with an empty artifact cache pays.
+_CFLAGS = ("-O1", "-shared", "-fPIC")
+
+
+def artifact_path() -> Optional[str]:
+    """Where the compiled kernel for this source revision lives.
+
+    Under ``$REPRO_LANES_CACHE`` (default: a ``repro-lanes`` directory
+    in the system temp dir), named by a hash of the source and compile
+    flags, so each kernel revision compiles once per machine; ``None``
+    if the source is unreadable.
     """
-    src = Path(__file__).with_name("lanes_kernel.c")
     try:
-        body = src.read_bytes()
+        body = _SOURCE.read_bytes()
     except OSError:
         return None
-    tag = hashlib.sha256(body).hexdigest()[:12]
+    tag = hashlib.sha256(body + " ".join(_CFLAGS).encode()).hexdigest()[:12]
     cache_dir = os.environ.get("REPRO_LANES_CACHE") or os.path.join(
         tempfile.gettempdir(), "repro-lanes")
-    so_path = os.path.join(cache_dir, f"lanes_kernel_{tag}.so")
+    return os.path.join(cache_dir, f"lanes_kernel_{tag}.so")
+
+
+def _compile_native() -> Tuple[Optional[ctypes.CDLL], str]:
+    """Build (or reuse) and load the shared library for the kernel.
+
+    Returns ``(library, "")``, or ``(None, reason)`` when no C compiler
+    is available, compilation fails, or the cached artifact does not
+    load — callers fall back to the Python kernel.  The compile writes
+    a temp file and renames it into place, so a concurrent reader never
+    sees a partial library.
+    """
+    so_path = artifact_path()
+    if so_path is None:
+        return None, "kernel source unreadable"
     if not os.path.exists(so_path):
         compiler = shutil.which("cc") or shutil.which("gcc")
         if compiler is None:
-            return None
+            return None, "no C compiler"
         tmp_path = f"{so_path}.{os.getpid()}.tmp"
         try:
-            os.makedirs(cache_dir, exist_ok=True)
+            os.makedirs(os.path.dirname(so_path), exist_ok=True)
             proc = subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_path,
-                 str(src)],
+                [compiler, *_CFLAGS, "-o", tmp_path, str(_SOURCE)],
                 capture_output=True, timeout=120)
             if proc.returncode != 0:
-                return None
+                return None, "compile failed"
             os.replace(tmp_path, so_path)
-        except (OSError, subprocess.SubprocessError):
-            return None
+        except (OSError, subprocess.SubprocessError) as error:
+            return None, f"compile failed: {error}"
         finally:
             if os.path.exists(tmp_path):
                 try:
@@ -142,27 +209,54 @@ def _compile_native() -> Optional[ctypes.CDLL]:
                 except OSError:
                     pass
     try:
-        return ctypes.CDLL(so_path)
-    except OSError:
-        return None
+        return ctypes.CDLL(so_path), ""
+    except OSError as error:
+        return None, f"load failed: {error}"
 
 
 def _native():
-    """The bound ``run_lanes`` entry point, or ``None`` (memoized)."""
-    global _native_fn, _native_tried
+    """The bound ``run_lanes`` entry point, or ``None`` (memoized).
+
+    A library whose ``run_lanes_abi`` stamp is missing or differs from
+    :data:`LANES_ABI` is treated like one that failed to load: its
+    entry point is never bound, and the reason waits in
+    :func:`take_native_fallback` for the runner's telemetry.
+    """
+    global _native_fn, _native_tried, _native_error
     if _native_tried:
         return _native_fn
     _native_tried = True
-    lib = _compile_native()
+    lib, reason = _compile_native()
+    if lib is not None:
+        try:
+            stamp = ctypes.c_int64.in_dll(lib, "run_lanes_abi").value
+        except ValueError:
+            stamp = None
+        if stamp != LANES_ABI:
+            lib, reason = None, f"ABI stamp {stamp}, expected {LANES_ABI}"
     if lib is None:
+        _native_error = reason
         return None
     i64 = ctypes.c_int64
     ptr = ctypes.POINTER(ctypes.c_int64)
     fn = lib.run_lanes
     fn.restype = ctypes.c_int
-    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr] + [i64] * 17 + [ptr]
+    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr, ptr] + [i64] * 17 \
+        + [ptr]
     _native_fn = fn
     return fn
+
+
+def take_native_fallback() -> Optional[str]:
+    """Why this process fell back to the Python kernel — returned once.
+
+    ``None`` while the compiled kernel loads (or was never needed) and
+    after the reason has been taken, so the runner emits exactly one
+    telemetry event per process.
+    """
+    global _native_error
+    reason, _native_error = _native_error, None
+    return reason
 
 
 def native_available() -> bool:
@@ -174,27 +268,82 @@ def _as_ptr(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
 
+def _pack_image(image: Dict, num_sets: int, assoc: int) -> np.ndarray:
+    """A sparse cache image as the kernel's ways-then-lock-bits block."""
+    n = num_sets * assoc
+    block = np.zeros(2 * n, dtype=np.int64)
+    block[:n] = -1
+    for s, members in image.items():
+        for way, (line, locked) in enumerate(members):
+            block[s * assoc + way] = line
+            block[n + s * assoc + way] = locked
+    return block
+
+
+def _pack_lanes(cells, n_records, l1_geometry, l2_geometry, dram_banks):
+    """The C entry's ``lane_info`` rows, fill-offset rows (random-fill
+    lanes only) and packed ``state`` buffer."""
+    info: List[int] = []
+    rows: List[np.ndarray] = []
+    chunks: List[np.ndarray] = []
+    used = 0
+
+    def place(block: np.ndarray) -> int:
+        nonlocal used
+        chunks.append(block)
+        used += len(block)
+        return used - len(block)
+
+    for cell in cells:
+        row = [cell.policy_kind, cell.start, -1, -1, -1, -1, -1, 0]
+        if cell.policy_kind == 2:
+            if cell.offsets is None or len(cell.offsets) > n_records:
+                raise ValueError("a random-fill lane needs at most one "
+                                 "fill offset per trace record")
+            row[2] = len(rows)
+            rows.append(cell.offsets)
+        if cell.l1 is not None:
+            row[3] = place(_pack_image(cell.l1, *l1_geometry))
+        if cell.l2 is not None:
+            row[4] = place(_pack_image(cell.l2, *l2_geometry))
+        if cell.dram is not None:
+            open_row, bank_free = cell.dram
+            row[5] = place(np.array(
+                [open_row.get(b, -1) for b in range(dram_banks)]
+                + [bank_free.get(b, 0) for b in range(dram_banks)],
+                dtype=np.int64))
+        if cell.bypass:
+            row[6] = place(np.array(cell.bypass, dtype=np.int64).ravel())
+            row[7] = len(cell.bypass)
+        info += row
+    offsets = np.zeros((max(1, len(rows)), n_records), dtype=np.int64)
+    for i, offset_row in enumerate(rows):
+        offsets[i, :len(offset_row)] = offset_row
+    state = np.concatenate(chunks) if chunks else np.zeros(1, np.int64)
+    return np.asarray(info, dtype=np.int64), offsets, state
+
+
 def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
                 l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
                 mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
                 mlp, credit, cells, dram) -> Optional[List[SimResult]]:
     n_lanes = len(cells)
     n_records = len(lines_l)
-    lines = np.asarray(lines_l, dtype=np.int64)
-    steps = np.asarray(steps_l, dtype=np.int64)
-    kinds = np.asarray([c.policy_kind for c in cells], dtype=np.int64)
-    offsets = np.zeros((n_lanes, n_records), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        if cell.offsets is not None:
-            offsets[i, :len(cell.offsets)] = cell.offsets
+    lines = np.ascontiguousarray(lines_l, dtype=np.int64)
+    steps = np.ascontiguousarray(steps_l, dtype=np.int64)
+    if len(steps) != n_records:
+        raise ValueError("lines and steps columns differ in length")
+    info, offsets, state = _pack_lanes(
+        cells, n_records, (l1_num_sets, l1_assoc), (l2_num_sets, l2_assoc),
+        dram[1])
     template = np.full(l2_num_sets * l2_assoc, -1, dtype=np.int64)
     for s, ways in enumerate(l2_sets):
         if ways:
             template[s * l2_assoc:s * l2_assoc + len(ways)] = ways
     out = np.zeros(n_lanes * 7, dtype=np.int64)
     rc = fn(n_records, _as_ptr(lines), _as_ptr(steps),
-            n_lanes, _as_ptr(kinds), _as_ptr(offsets), _as_ptr(template),
-            l1_num_sets, l1_assoc, l2_num_sets, l2_assoc,
+            n_lanes, _as_ptr(info), _as_ptr(offsets), _as_ptr(template),
+            _as_ptr(state), l1_num_sets, l1_assoc, l2_num_sets, l2_assoc,
             l2_hit_latency, mq_capacity, fill_reserve,
             fill_queue_capacity, hit_cost, mlp, credit,
             dram[0], dram[1], dram[2], dram[3], dram[4], dram[5],
@@ -217,17 +366,26 @@ def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
     ]
 
 
+def _ordered_sets(num_sets: int, image: Optional[Dict]) -> List[OrderedDict]:
+    """A sparse ``{set: [(line, locked), ...]}`` image as LRU-first sets."""
+    sets = [OrderedDict() for _ in range(num_sets)]
+    for s, members in (image or {}).items():
+        sets[s] = OrderedDict(reversed(members))
+    return sets
+
+
 def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                      l1_assoc, l2_sets, l2_num_sets, l2_assoc,
                      l2_hit_latency, mq_capacity, fill_reserve,
                      fill_queue_capacity, hit_cost, mlp, credit,
-                     policy_kind, offsets, dram) -> SimResult:
+                     cell, offsets, dram) -> SimResult:
     """One lane's trace pass — the tuned Python fallback.
 
     A transcription of :func:`run_flat_general` with faster but
     order-identical machinery: cache sets are :class:`OrderedDict`
-    (O(1) membership, ``move_to_end`` refresh, first key = LRU victim —
-    the flat MRU-first lists reversed), the MSHR adds a completion-
+    mapping line to lock bit (O(1) membership, ``move_to_end`` refresh
+    carrying the bit along, first unlocked key = LRU victim — the flat
+    MRU-first lists reversed), the MSHR adds a completion-
     ordered heap whose ``(completion, seq)`` order reproduces the flat
     kernel's stable completion sort, the step column arrives fused with
     the per-record ``hit_cost`` (every flat branch adds exactly one),
@@ -241,18 +399,28 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
 
     (dram_lines_per_row, dram_banks, dram_hit_latency, dram_miss_latency,
      dram_hit_busy, dram_miss_busy) = dram
+    policy_kind = cell.policy_kind
     l1_set_mask = l1_num_sets - 1
     l2_set_mask = l2_num_sets - 1
-    l1_sets = [OrderedDict() for _ in range(l1_num_sets)]
-    l2 = [OrderedDict((line, True) for line in reversed(ways))
-          for ways in l2_sets]
+    l1_sets = _ordered_sets(l1_num_sets, cell.l1)
+    if cell.l2 is not None:
+        l2 = _ordered_sets(l2_num_sets, cell.l2)
+    else:
+        l2 = [OrderedDict((line, False) for line in reversed(ways))
+              for ways in l2_sets]
+    # Lock bits only ever come from the carried-in images (no access in
+    # the run locks or unlocks), so lanes without any skip the scan.
+    l1_locks = any(any(s.values()) for s in l1_sets)
+    l2_locks = cell.l2 is not None and any(any(s.values()) for s in l2)
+    bypass = frozenset(line for lo, hi in cell.bypass
+                       for line in range(lo, hi))
     mq: dict = {}
     mq_get = mq.get
     heap: list = []
     seq = 0
     fill_queue: list = []
-    open_row: dict = {}
-    bank_free: dict = {}
+    open_row: dict = dict(cell.dram[0]) if cell.dram else {}
+    bank_free: dict = dict(cell.dram[1]) if cell.dram else {}
     bank_free_get = bank_free.get
     open_row_get = open_row.get
     steady: set = set()
@@ -295,8 +463,11 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
             bank_free[bank] = start + dram_miss_busy
         memory_lines += 1
         if len(cache_set) >= l2_assoc:
-            cache_set.popitem(last=False)
-        cache_set[line] = True
+            if not l2_locks:
+                cache_set.popitem(last=False)
+            elif not _evict_unlocked(cache_set):
+                return done          # every way locked: fill refused
+        cache_set[line] = False
         return done
 
     def drain(at):
@@ -310,10 +481,14 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
             steady_discard(dline)
             if mq.pop(dline)[1] != _RT_NOFILL:
                 cache_set = l1_sets[dline & l1_set_mask]
-                if dline not in cache_set:
-                    if len(cache_set) >= l1_assoc:
+                if dline in cache_set:
+                    continue
+                if len(cache_set) >= l1_assoc:
+                    if not l1_locks:
                         cache_set.popitem(last=False)
-                    cache_set[dline] = True
+                    elif not _evict_unlocked(cache_set):
+                        continue     # every way locked: fill refused
+                cache_set[dline] = False
         nc = heap[0][0] if heap else _NEVER
         ncx = nc + hit_cost
         return done
@@ -345,7 +520,7 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                 ncx = nc + hit_cost
         fills_blocked = bool(fill_queue)
 
-    now = 0
+    now = cell.start
     charged: dict = {}
     charged_get = charged.get
     for line, sp in zip(lines_l, steps_plus):
@@ -355,6 +530,22 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
         if now >= ncx:
             drain(now - hit_cost)
             fills_blocked = False
+        if bypass and line in bypass:
+            # L1 bypass: one L2 access charged as a fresh demand miss
+            # with no MSHR stall; L1, MSHR and fill queue untouched.
+            complete_at = l2_access(line, now - hit_cost)
+            demand_misses += 1
+            charged[line] = complete_at
+            remaining = complete_at - now - credit
+            if remaining > 0:
+                now += (remaining + mlp - 1) // mlp
+            if len(charged) >= prune_at:
+                charged = prune_charged(charged, now)
+                charged_get = charged.get
+                for k in tuple(steady):
+                    if charged_get(k) != mq[k][0]:
+                        steady_discard(k)
+            continue
         cache_set = l1_sets[line & l1_set_mask]
         if line in cache_set:
             hits += 1
@@ -500,6 +691,16 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
     )
 
 
+def _evict_unlocked(cache_set: OrderedDict) -> bool:
+    """Evict the least-recently-used unlocked line; ``False`` (fill
+    refused) when every way is locked."""
+    for line, locked in cache_set.items():
+        if not locked:
+            del cache_set[line]
+            return True
+    return False
+
+
 def run_lanes_general(lines_l, steps_l, instructions,
                       l1_num_sets, l1_assoc,
                       l2_sets, l2_num_sets, l2_assoc,
@@ -509,13 +710,17 @@ def run_lanes_general(lines_l, steps_l, instructions,
                       backend: Optional[str] = None) -> List[SimResult]:
     """Advance every lane of a batch group over the shared columns.
 
-    Shared arguments mirror :func:`run_flat_general`; ``l2_sets`` is
+    Shared arguments mirror :func:`run_flat_general`, except that the
+    ``lines_l`` / ``steps_l`` columns may also be int64 arrays (the
+    native kernel reads those in place); ``l2_sets`` is
     the group's warmed L2 image (MRU-first int lists, *not* mutated —
     each lane works on its own copy) and ``cells`` holds one
-    :class:`LaneCell` per lane.  ``backend`` forces ``"native"`` or
-    ``"python"``; the default picks the compiled kernel when available.
-    Returns one :class:`SimResult` per lane, bit-identical to running
-    the flat kernel per cell.
+    :class:`LaneCell` per lane: its policy split, carried-in state and
+    hooks.  ``backend`` forces ``"native"`` or ``"python"``; the
+    default picks the compiled kernel when available.  Returns one
+    :class:`SimResult` per lane, bit-identical to running the cell
+    through the flat kernel (lanes without carried-in state or hooks)
+    or through the object model from the same starting state.
     """
     if backend not in (None, "native", "python"):
         raise ValueError(
@@ -542,6 +747,8 @@ def run_lanes_general(lines_l, steps_l, instructions,
         raise RuntimeError(
             f"native lane kernel rejects mq_capacity {mq_capacity}")
     if results is None:
+        if isinstance(lines_l, np.ndarray):
+            lines_l = lines_l.tolist()
         steps_plus = (np.asarray(steps_l, dtype=np.int64)
                       + hit_cost).tolist()
         results = []
@@ -552,7 +759,7 @@ def run_lanes_general(lines_l, steps_l, instructions,
                 lines_l, steps_plus, instructions, l1_num_sets, l1_assoc,
                 l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
                 mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cell.policy_kind, offsets, dram))
+                mlp, credit, cell, offsets, dram))
     LAST_STATS.clear()
     LAST_STATS.update(records=len(lines_l), lanes=n_lanes, backend=used)
     return results

@@ -2,6 +2,13 @@
  * repro/cpu/timing.py:run_flat_general, transcribed to C and run once
  * per lane over the shared decoded trace columns.
  *
+ * Each lane may carry state in (a start cycle, L1/L2 images with
+ * per-way lock bits, DRAM open-row/bank-free state) and two policy
+ * hooks: lock-aware installs (SetAssociativeCache.fill: the victim is
+ * the least-recently-used unlocked way, and the fill is refused when
+ * every way is locked) and an L1-bypass line predicate (the
+ * disable-cache scheme: L1Controller.access_line's bypass branch).
+ *
  * The transcription is branch-for-branch: the MissQueue drain order
  * (stable completion sort on insertion order), the fill-queue
  * drop/merge rules, the MSHR-full stall, the MLP charge table with its
@@ -20,9 +27,19 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* ABI stamp checked by repro/cpu/lanes.py before it binds run_lanes:
+ * bump on any change to run_lanes' arguments or their layout. */
+const int64_t run_lanes_abi = 2;
+
 #define RT_NORMAL 0
 #define RT_NOFILL 1
 #define RT_RANDOM_FILL 2
+
+/* per-lane lane_info row: policy_kind, start cycle, the lane's row of
+ * fill offsets (random-fill lanes only), then offsets into the state
+ * buffer (-1 = default) of the L1 image, the L2 image and the DRAM
+ * state, then the bypass ranges' offset and pair count */
+#define LANE_INFO 8
 
 /* mirrors MissQueue.NEVER */
 #define NEVER (((int64_t)1) << 62)
@@ -107,6 +124,9 @@ typedef struct {
     /* per-lane state */
     int64_t *l1;                /* l1_num_sets * l1_assoc, MRU first */
     int64_t *l2;                /* l2_num_sets * l2_assoc, MRU first */
+    int64_t *l1_lock, *l2_lock; /* per-way lock bits; NULL = none set */
+    const int64_t *bypass;      /* [lo, hi) line ranges skipping the L1 */
+    int64_t n_bypass;
     int64_t *mq_line, *mq_complete, *mq_type;   /* insertion order */
     int64_t mq_n;
     int64_t *fq;                /* ring buffer */
@@ -150,41 +170,72 @@ static inline int set_hit(int64_t *ways, int64_t assoc, int64_t line)
     return 0;
 }
 
-/* hit refresh: move to MRU (slot 0) */
-static inline void set_touch(int64_t *ways, int64_t assoc, int64_t line)
+/* hit refresh: move to MRU (slot 0); a lock bit moves with its way */
+static inline void set_touch(int64_t *ways, int64_t *locks, int64_t assoc,
+                             int64_t line)
 {
-    int64_t i;
+    int64_t i, bit;
     if (ways[0] == line)
         return;
     for (i = 1; i < assoc; i++) {
         if (ways[i] == line) {
             memmove(ways + 1, ways, i * sizeof(int64_t));
             ways[0] = line;
+            if (locks) {
+                bit = locks[i];
+                memmove(locks + 1, locks, i * sizeof(int64_t));
+                locks[0] = bit;
+            }
             return;
         }
     }
 }
 
-/* install at MRU, evicting the LRU tail when full */
-static inline void set_install(int64_t *ways, int64_t assoc, int64_t line)
+/* install at MRU, unlocked; a full set evicts its least-recently-used
+ * unlocked way, and the fill is refused when every way is locked */
+static inline void set_install(int64_t *ways, int64_t *locks, int64_t assoc,
+                               int64_t line)
 {
     int64_t n = assoc;
     while (n > 0 && ways[n - 1] == -1)
         n--;
-    if (n >= assoc)
+    if (n >= assoc) {
         n = assoc - 1;
+        if (locks) {
+            while (n >= 0 && locks[n])
+                n--;
+            if (n < 0)
+                return;
+        }
+    }
     memmove(ways + 1, ways, n * sizeof(int64_t));
     ways[0] = line;
+    if (locks) {
+        memmove(locks + 1, locks, n * sizeof(int64_t));
+        locks[0] = 0;
+    }
+}
+
+/* the L1-bypass predicate: line inside one of the lane's ranges */
+static inline int bypassed(const Lane *ln, int64_t line)
+{
+    int64_t i;
+    for (i = 0; i < ln->n_bypass; i++)
+        if (line >= ln->bypass[2 * i] && line < ln->bypass[2 * i + 1])
+            return 1;
+    return 0;
 }
 
 /* L2Cache.access with DramModel.access inlined */
 static int64_t l2_access(Lane *ln, int64_t line, int64_t at)
 {
-    int64_t *ways = ln->l2 + (line & ln->l2_set_mask) * ln->l2_assoc;
+    int64_t base = (line & ln->l2_set_mask) * ln->l2_assoc;
+    int64_t *ways = ln->l2 + base;
+    int64_t *locks = ln->l2_lock ? ln->l2_lock + base : NULL;
     int64_t row, bank, start, done;
     ln->l2_accesses++;
     if (set_hit(ways, ln->l2_assoc, line)) {
-        set_touch(ways, ln->l2_assoc, line);
+        set_touch(ways, locks, ln->l2_assoc, line);
         return at + ln->l2_hit_latency;
     }
     ln->l2_misses++;
@@ -203,7 +254,7 @@ static int64_t l2_access(Lane *ln, int64_t line, int64_t at)
         ln->bank_free[bank] = start + ln->dram_miss_busy;
     }
     ln->memory_lines++;
-    set_install(ways, ln->l2_assoc, line);
+    set_install(ways, locks, ln->l2_assoc, line);
     return done;
 }
 
@@ -262,10 +313,11 @@ static int64_t drain(Lane *ln, int64_t at)
     for (i = 0; i < n_done; i++) {
         if (done_type[i] != RT_NOFILL) {
             int64_t dline = done_line[i];
-            int64_t *ways =
-                ln->l1 + (dline & ln->l1_set_mask) * ln->l1_assoc;
-            if (!set_hit(ways, ln->l1_assoc, dline))
-                set_install(ways, ln->l1_assoc, dline);
+            int64_t base = (dline & ln->l1_set_mask) * ln->l1_assoc;
+            if (!set_hit(ln->l1 + base, ln->l1_assoc, dline))
+                set_install(ln->l1 + base,
+                            ln->l1_lock ? ln->l1_lock + base : NULL,
+                            ln->l1_assoc, dline);
         }
     }
     ln->mq_n = w;
@@ -302,16 +354,16 @@ static void issue_fills(Lane *ln, int64_t at)
     ln->fills_blocked = ln->fq_n > 0;
 }
 
-/* one lane's full trace pass; returns 0 on success */
-static int run_one_lane(Lane *ln, const int64_t *steps,
+/* one lane's full trace pass from cycle ``now``; returns 0 on success */
+static int run_one_lane(Lane *ln, const int64_t *steps, int64_t now,
                         int64_t policy_kind, const int64_t *offsets,
                         int64_t *out)
 {
-    int64_t now = 0, off_i = 0, i;
+    int64_t off_i = 0, i;
     const int64_t *lines = ln->lines;
     for (i = 0; i < ln->n_records; i++) {
         int64_t line = lines[i];
-        int64_t *ways;
+        int64_t *ways, *locks;
         int64_t completion, stall, access_now, complete_at, remaining;
         int idx;
         now += steps[i];
@@ -319,10 +371,21 @@ static int run_one_lane(Lane *ln, const int64_t *steps,
             drain(ln, now);
             ln->fills_blocked = 0;
         }
+        if (ln->n_bypass && bypassed(ln, line)) {
+            /* L1Controller.access_line's bypass: one L2 access charged
+             * as a fresh demand miss with no MSHR stall; the L1, MSHR
+             * and fill queue are untouched */
+            complete_at = l2_access(ln, line, now);
+            ln->demand_misses++;
+            stall = 0;
+            goto charge;
+        }
         ways = ln->l1 + (line & ln->l1_set_mask) * ln->l1_assoc;
+        locks = ln->l1_lock
+            ? ln->l1_lock + (line & ln->l1_set_mask) * ln->l1_assoc : NULL;
         if (set_hit(ways, ln->l1_assoc, line)) {
             ln->hits++;
-            set_touch(ways, ln->l1_assoc, line);
+            set_touch(ways, locks, ln->l1_assoc, line);
             if (ln->fq_n > 0 && !ln->fills_blocked)
                 issue_fills(ln, now);
             now += ln->hit_cost;
@@ -364,7 +427,7 @@ static int run_one_lane(Lane *ln, const int64_t *steps,
             if (set_hit(ways, ln->l1_assoc, line)) {
                 /* the drained line was the one we wanted */
                 ln->hits++;
-                set_touch(ways, ln->l1_assoc, line);
+                set_touch(ways, locks, ln->l1_assoc, line);
                 now += ln->hit_cost;
                 continue;
             }
@@ -413,6 +476,7 @@ static int run_one_lane(Lane *ln, const int64_t *steps,
             if (ln->fq_n > 0)
                 issue_fills(ln, access_now);
         }
+    charge:
         ch_put(ln->charged, line, complete_at);
         now += ln->hit_cost + stall;
         remaining = complete_at - now - ln->credit;
@@ -449,17 +513,44 @@ static int run_one_lane(Lane *ln, const int64_t *steps,
     return 0;
 }
 
+/* Load one carried-in cache image (ways, then per-way lock bits) or
+ * the default; returns the lock array, or NULL when no bit is set. */
+static int64_t *load_image(int64_t *ways, int64_t *locks, int64_t n,
+                           const int64_t *image, const int64_t *fallback)
+{
+    int64_t i, any = 0;
+    if (image == NULL) {
+        if (fallback)
+            memcpy(ways, fallback, n * sizeof(int64_t));
+        else
+            memset(ways, 0xff, n * sizeof(int64_t));
+        return NULL;
+    }
+    memcpy(ways, image, n * sizeof(int64_t));
+    memcpy(locks, image + n, n * sizeof(int64_t));
+    for (i = 0; i < n; i++)
+        any |= locks[i];
+    return any ? locks : NULL;
+}
+
 /* Entry point: run every lane of a batch group over the shared trace.
- * offsets holds n_lanes rows of n_records pregenerated fill offsets
- * (row contents unused for demand-fetch lanes); l2_template is the
- * warmed L2 image (l2_num_sets * l2_assoc, MRU first, -1 = empty way)
- * copied per lane; out receives 7 values per lane: cycles, hits,
- * demand_misses, l2_accesses, l2_misses, memory_lines, rf_issued.
- * Returns 0 on success, -1 on allocation failure. */
+ * lane_info holds one LANE_INFO row per lane; its offsets point into
+ * state, which packs the carried-in images: an L1 or L2 image is the
+ * set-major ways (MRU first, -1 = empty way) followed by as many lock
+ * bits, the DRAM state is dram_banks open rows (-1 = none) followed by
+ * dram_banks bank-free cycles, and bypass ranges are [lo, hi) pairs.
+ * Lanes without an L1 image start empty, without an L2 image from
+ * l2_template (the group's warmed L2), without DRAM state idle.
+ * offsets holds one row of n_records pregenerated fill offsets per
+ * random-fill lane; out receives 7 values
+ * per lane: cycles, hits, demand_misses, l2_accesses, l2_misses,
+ * memory_lines, rf_issued.  Returns 0 on success, -1 on allocation
+ * failure. */
 int run_lanes(int64_t n_records, const int64_t *lines,
               const int64_t *steps,
-              int64_t n_lanes, const int64_t *policy_kinds,
+              int64_t n_lanes, const int64_t *lane_info,
               const int64_t *offsets, const int64_t *l2_template,
+              const int64_t *state,
               int64_t l1_num_sets, int64_t l1_assoc,
               int64_t l2_num_sets, int64_t l2_assoc,
               int64_t l2_hit_latency, int64_t mq_capacity,
@@ -474,6 +565,8 @@ int run_lanes(int64_t n_records, const int64_t *lines,
     int rc = 0;
     Lane ln;
     int64_t fq_cap = fill_queue_capacity + 1;
+    int64_t l1_n = l1_num_sets * l1_assoc, l2_n = l2_num_sets * l2_assoc;
+    int64_t *l1_lock, *l2_lock;
     if (mq_capacity > 64)
         return -2;                      /* drain scratch bound */
     memset(&ln, 0, sizeof(ln));
@@ -498,8 +591,10 @@ int run_lanes(int64_t n_records, const int64_t *lines,
     ln.dram_miss_busy = dram_miss_busy;
     ln.fq_cap = fq_cap;
 
-    ln.l1 = malloc(l1_num_sets * l1_assoc * sizeof(int64_t));
-    ln.l2 = malloc(l2_num_sets * l2_assoc * sizeof(int64_t));
+    ln.l1 = malloc(l1_n * sizeof(int64_t));
+    ln.l2 = malloc(l2_n * sizeof(int64_t));
+    l1_lock = malloc(l1_n * sizeof(int64_t));
+    l2_lock = malloc(l2_n * sizeof(int64_t));
     ln.mq_line = malloc(mq_capacity * sizeof(int64_t));
     ln.mq_complete = malloc(mq_capacity * sizeof(int64_t));
     ln.mq_type = malloc(mq_capacity * sizeof(int64_t));
@@ -508,19 +603,32 @@ int run_lanes(int64_t n_records, const int64_t *lines,
     ln.bank_free = malloc(dram_banks * sizeof(int64_t));
     ln.charged = malloc(sizeof(ChargeMap));
     ln.scratch = malloc(sizeof(ChargeMap));
-    if (!ln.l1 || !ln.l2 || !ln.mq_line || !ln.mq_complete || !ln.mq_type
-        || !ln.fq || !ln.open_row || !ln.bank_free || !ln.charged
-        || !ln.scratch) {
+    if (!ln.l1 || !ln.l2 || !l1_lock || !l2_lock || !ln.mq_line
+        || !ln.mq_complete || !ln.mq_type || !ln.fq || !ln.open_row
+        || !ln.bank_free || !ln.charged || !ln.scratch) {
         rc = -1;
         goto done;
     }
 
     for (lane = 0; lane < n_lanes; lane++) {
-        memset(ln.l1, 0xff, l1_num_sets * l1_assoc * sizeof(int64_t));
-        memcpy(ln.l2, l2_template,
-               l2_num_sets * l2_assoc * sizeof(int64_t));
-        memset(ln.open_row, 0xff, dram_banks * sizeof(int64_t));
-        memset(ln.bank_free, 0, dram_banks * sizeof(int64_t));
+        const int64_t *info = lane_info + lane * LANE_INFO;
+        ln.l1_lock = load_image(ln.l1, l1_lock, l1_n,
+                                info[3] >= 0 ? state + info[3] : NULL,
+                                NULL);
+        ln.l2_lock = load_image(ln.l2, l2_lock, l2_n,
+                                info[4] >= 0 ? state + info[4] : NULL,
+                                l2_template);
+        if (info[5] >= 0) {
+            memcpy(ln.open_row, state + info[5],
+                   dram_banks * sizeof(int64_t));
+            memcpy(ln.bank_free, state + info[5] + dram_banks,
+                   dram_banks * sizeof(int64_t));
+        } else {
+            memset(ln.open_row, 0xff, dram_banks * sizeof(int64_t));
+            memset(ln.bank_free, 0, dram_banks * sizeof(int64_t));
+        }
+        ln.bypass = info[6] >= 0 ? state + info[6] : NULL;
+        ln.n_bypass = info[6] >= 0 ? info[7] : 0;
         ch_clear(ln.charged);
         ln.mq_n = 0;
         ln.fq_head = 0;
@@ -533,8 +641,10 @@ int run_lanes(int64_t n_records, const int64_t *lines,
         ln.l2_misses = 0;
         ln.memory_lines = 0;
         ln.rf_issued = 0;
-        rc = run_one_lane(&ln, steps, policy_kinds[lane],
-                          offsets + lane * n_records, out + lane * 7);
+        rc = run_one_lane(&ln, steps, info[1], info[0],
+                          info[2] >= 0 ? offsets + info[2] * n_records
+                                       : NULL,
+                          out + lane * 7);
         if (rc != 0)
             goto done;
     }
@@ -542,6 +652,8 @@ int run_lanes(int64_t n_records, const int64_t *lines,
 done:
     free(ln.l1);
     free(ln.l2);
+    free(l1_lock);
+    free(l2_lock);
     free(ln.mq_line);
     free(ln.mq_complete);
     free(ln.mq_type);

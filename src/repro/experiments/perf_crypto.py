@@ -89,18 +89,28 @@ class CryptoPerfPoint:
     normalized_ipc: float = 0.0
 
 
+def prepare_crypto_scheme(scheme_name: str, config: SimulatorConfig,
+                          window: Optional[RandomFillWindow] = None,
+                          seed: int = 0):
+    """Build a scheme with the AES encryption tables protected and run
+    its setup routine (the PLcache preload); returns ``(scheme, start
+    cycle)``.  Shared by the per-cell run below and the lane lowering
+    (:func:`repro.cpu.batch.lower_cell`)."""
+    scheme = build_scheme(scheme_name, config, seed=seed,
+                          protected=AesMemoryLayout().enc_regions(),
+                          window=window)
+    return scheme, scheme.prepare()
+
+
 def run_crypto_workload(scheme_name: str, config: SimulatorConfig,
                         window: Optional[RandomFillWindow] = None,
                         message_kb: int = 32, seed: int = 0,
                         trace=None) -> SimResult:
     """Run the AES-CBC workload on one scheme; returns the sim result."""
-    layout = AesMemoryLayout()
-    protected = layout.enc_regions()
-    scheme = build_scheme(scheme_name, config, seed=seed,
-                          protected=protected, window=window)
+    scheme, start = prepare_crypto_scheme(scheme_name, config,
+                                          window=window, seed=seed)
     if trace is None:
         trace = cached_cbc_trace(message_kb=message_kb, seed=seed)
-    start = scheme.prepare()
     timing = TimingModel(scheme.l1, issue_width=config.issue_width,
                          overlap_credit=config.overlap_credit)
     result = timing.run(trace, start_cycle=start)
@@ -110,18 +120,17 @@ def run_crypto_workload(scheme_name: str, config: SimulatorConfig,
     return result
 
 
-def figure6(sizes: Sequence[int] = FIGURE6_SIZES,
-            assocs: Sequence[int] = FIGURE6_ASSOCS,
-            schemes: Sequence[str] = FIGURE6_SCHEMES,
-            message_kb: int = 32,
-            seed: int = 0,
-            config: SimulatorConfig = BASELINE_CONFIG,
-            jobs: Optional[int] = None) -> List[CryptoPerfPoint]:
-    """The Figure 6 sweep: normalized IPC per scheme per cache config.
+def figure6_specs(sizes: Sequence[int] = FIGURE6_SIZES,
+                  assocs: Sequence[int] = FIGURE6_ASSOCS,
+                  schemes: Sequence[str] = FIGURE6_SCHEMES,
+                  message_kb: int = 32,
+                  seed: int = 0,
+                  config: SimulatorConfig = BASELINE_CONFIG) -> List[CellSpec]:
+    """The Figure 6 cell grid in sweep order (geometry-major).
 
-    Cells fan out over the parallel runner (``jobs``/``REPRO_JOBS``);
-    each (size, assoc) group carries one extra baseline cell so the
+    Each (size, assoc) group leads with a baseline cell, so the
     normalization denominator exists even when ``schemes`` omits it.
+    Shared by :func:`figure6` and the CLI's batch-aware ``--profile``.
     """
     specs: List[CellSpec] = []
     for size in sizes:
@@ -138,6 +147,24 @@ def figure6(sizes: Sequence[int] = FIGURE6_SIZES,
                 specs.append(CellSpec(
                     kind="crypto", scheme=scheme_name, window=window,
                     message_kb=message_kb, seed=seed, config=cfg))
+    return specs
+
+
+def figure6(sizes: Sequence[int] = FIGURE6_SIZES,
+            assocs: Sequence[int] = FIGURE6_ASSOCS,
+            schemes: Sequence[str] = FIGURE6_SCHEMES,
+            message_kb: int = 32,
+            seed: int = 0,
+            config: SimulatorConfig = BASELINE_CONFIG,
+            jobs: Optional[int] = None) -> List[CryptoPerfPoint]:
+    """The Figure 6 sweep: normalized IPC per scheme per cache config.
+
+    Cells fan out over the parallel runner (``jobs``/``REPRO_JOBS``);
+    each (size, assoc) group shares one batch, whose four schemes run
+    as lanes of one lane-kernel call.
+    """
+    specs = figure6_specs(sizes, assocs, schemes, message_kb=message_kb,
+                          seed=seed, config=config)
     results = iter(run_cells(specs, jobs=jobs))
     points: List[CryptoPerfPoint] = []
     for size in sizes:

@@ -15,8 +15,9 @@ This package turns a figure sweep into an explicit list of picklable
 * :mod:`repro.runner.batch` — batch planning and execution: pending
   cells sharing a ``batch_group_key()`` are grouped so one trace
   decode serves the whole group (``--batch/--no-batch``,
-  ``REPRO_BATCH``), and eligible general-perf cells advance together
-  as lanes of one kernel call (``--lanes``, ``REPRO_LANES``); a
+  ``REPRO_BATCH``), and eligible general-perf and crypto cells
+  advance together as lanes of one kernel call (``--lanes``,
+  ``REPRO_LANES``); a
   failed batch splits back to supervised per-cell retries,
 * :mod:`repro.runner.telemetry` — JSONL event log of a run (cell
   start/finish/retry/timeout, pool restarts) and the live progress

@@ -2,8 +2,9 @@
 
 ``run_cells`` plans its *pending* (cache-missed) cells into batches:
 cells whose specs report the same ``batch_group_key()`` share per-group
-work — for general-perf cells one trace decode and one L2 warm replay
-(:mod:`repro.cpu.batch`), for leakage cells the dispatch overhead — and
+work — for general-perf and crypto cells one trace decode (and one L2
+warm replay, :mod:`repro.cpu.batch`), for leakage cells the dispatch
+overhead — and
 a batch is the unit submitted to a worker.  Supervision semantics are
 preserved by construction: a batch that fails, hangs, or dies with its
 pool is *split* and its member cells requeued individually, where the
@@ -13,11 +14,12 @@ still lands in the result cache one by one.
 Batching is on by default and controlled by ``--batch/--no-batch`` or
 ``REPRO_BATCH`` (:func:`resolve_batch`); checked mode (``REPRO_CHECK``)
 disables planning entirely so every cell takes the per-cell oracle
-path.  Within a ``"general"`` batch, eligible cells additionally
-advance together as *lanes* of one kernel call
+path.  Within a ``"general"`` or ``"crypto"`` batch, eligible cells
+additionally advance together as *lanes* of one kernel call
 (:mod:`repro.cpu.lanes`), chunked at the lane width (``--lanes`` /
 ``REPRO_LANES``, :func:`resolve_lanes`; below 2 every cell keeps the
-scalar flat kernel).  Results are bit-identical with batching and
+scalar flat kernel, or a width-1 lane call when it needs the lane
+kernel's hooks).  Results are bit-identical with batching and
 lanes on or off, for any jobs count or lane width, because both
 kernels are exact and chunk boundaries carry no state between cells.
 """
@@ -29,7 +31,7 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.cells import run_cell
+from repro.runner.cells import LANE_KINDS, run_cell
 from repro.runner.telemetry import worker_meta
 
 #: smallest group worth batching — a singleton is just a cell
@@ -88,8 +90,9 @@ class CellBatch:
     """A picklable group of compatible cell specs, dispatched as one.
 
     ``kind`` is the first element of the members' shared group key:
-    ``"general"`` batches share trace decode + warm L2 state through
-    the flat kernel; any other kind only amortizes dispatch.
+    ``"general"`` and ``"crypto"`` batches share trace decode (+ warm
+    L2 state) through the kernels; any other kind only amortizes
+    dispatch.
     """
 
     __slots__ = ("batch_id", "kind", "cells")
@@ -132,7 +135,7 @@ def plan_batches(
     cells only — fully cached cells were short-circuited before
     planning and never reach here.
 
-    ``"general"`` groups chunk at the lane width
+    ``"general"`` and ``"crypto"`` groups chunk at the lane width
     (:func:`resolve_lanes`) so one batch is one lane-kernel call; other
     kinds keep the :data:`MAX_BATCH` cap.  With ``jobs`` workers the
     batch size is additionally capped at ``ceil(pending / jobs)`` so a
@@ -164,7 +167,7 @@ def plan_batches(
     for key, indices in groups.items():
         kind = str(key[0]) if isinstance(key, tuple) and key else str(key)
         max_batch = MAX_BATCH
-        if kind == "general" and lane_width >= MIN_BATCH:
+        if kind in LANE_KINDS and lane_width >= MIN_BATCH:
             max_batch = lane_width
         if jobs_cap is not None:
             max_batch = min(max_batch, jobs_cap)
@@ -190,16 +193,16 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
     """Worker entry point: run every cell of a batch in-process.
 
     Returns ``(results, metas, batch_meta)`` with one result + meta per
-    cell in batch order.  ``"general"`` batches build the shared group
-    state once, then advance the eligible cells as lanes of the lane
-    kernel (:func:`repro.cpu.batch.run_lane_cells`), grouped by their
-    shared kernel parameters and chunked at the lane width
-    (:func:`resolve_lanes`; below 2 every eligible cell takes the
-    scalar flat kernel instead — the PR 6 path).  Cells the kernels do
-    not cover — and every cell when ``REPRO_CHECK`` is active, as a
-    belt-and-braces guard (the parent already skips planning under
-    checked mode) — fall back to :func:`run_cell` individually inside
-    the batch.  Any exception propagates whole: the supervisor splits
+    cell in batch order.  ``"general"`` and ``"crypto"`` batches build
+    the shared group state once, then advance the eligible cells as
+    lanes of the lane kernel (:func:`repro.cpu.batch.run_lane_cells`),
+    grouped by their shared kernel parameters and chunked at the lane
+    width (:func:`resolve_lanes`; below 2, or alone in its chunk, an
+    eligible cell takes :func:`repro.cpu.batch.run_lowered_cell`).
+    Cells the kernels do not cover — and every cell when
+    ``REPRO_CHECK`` is active, as a belt-and-braces guard (the parent
+    already skips planning under checked mode) — fall back to
+    :func:`run_cell` individually inside the batch.  Any exception propagates whole: the supervisor splits
     the batch and retries the cells one by one.
 
     A lane call's wall time is attributed evenly across its member
@@ -213,7 +216,7 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
         checked = check_rate_from_env() is not None
         shared = None
         lowered = [None] * len(batch.cells)
-        if batch.kind == "general" and not checked:
+        if batch.kind in LANE_KINDS and not checked:
             from repro.cpu.batch import group_state_for, lower_cell
             shared = group_state_for(batch.cells[0])
             lowered = [lower_cell(spec, shared) for spec in batch.cells]
@@ -272,9 +275,13 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
             metas[i] = meta
         batch_meta = {"decode_reuses": max(0, kernel_cells - 1)}
         if shared is not None:
+            from repro.cpu.lanes import take_native_fallback
             batch_meta["lane_width"] = lane_width
             batch_meta["vectorized_cells"] = vectorized
             batch_meta["scalar_fallback_cells"] = len(batch.cells) - vectorized
+            reason = take_native_fallback()
+            if reason is not None:
+                batch_meta["lanes_fallback"] = reason
         checks_run = check_totals()["checks_run"] - checks_before
         if checks_run:
             batch_meta["checks_run"] = checks_run

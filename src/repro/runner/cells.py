@@ -28,6 +28,10 @@ from repro.experiments.config import BASELINE_CONFIG, SimulatorConfig
 #: cell kinds understood by :func:`run_cell`
 CELL_KINDS = ("general", "crypto", "concurrent", "profile")
 
+#: cell kinds whose batch groups lower onto the lane kernel
+#: (:mod:`repro.cpu.batch`); the others only amortize dispatch
+LANE_KINDS = ("general", "crypto")
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -80,14 +84,18 @@ class CellSpec:
 
         General-perf cells sharing a trace (benchmark, length, seed)
         and geometry (config, warm split) can share one decode and one
-        L2 warm replay, whatever their scheme or window — scheme
-        eligibility is decided per cell inside the batch.  The key is a
-        pure function of spec fields: no trace is loaded at planning
-        time, so a fully cached grid never touches the workload cache.
+        L2 warm replay, whatever their scheme or window; crypto cells
+        sharing an AES-CBC trace (message size, seed) and geometry
+        share one decode.  Scheme eligibility is decided per cell
+        inside the batch.  The key is a pure function of spec fields:
+        no trace is loaded at planning time, so a fully cached grid
+        never touches the workload cache.
         """
-        if self.kind != "general":
-            return None
-        return ("general", self.benchmark, self.n_refs, self.seed, self.warm, self.config)
+        if self.kind == "general":
+            return ("general", self.benchmark, self.n_refs, self.seed, self.warm, self.config)
+        if self.kind == "crypto":
+            return ("crypto", self.message_kb, self.seed, self.config)
+        return None
 
 
 def run_cell(spec):

@@ -18,9 +18,17 @@ simulating.  This module adds the non-blocking layer the sweep service
   a structured 429.
 
 Cancellation is cooperative: a queued job is cancelled outright (it
-never runs); a running job cannot be preempted mid-``run_cells`` — its
-handle moves to ``cancelling`` and settles as ``cancelled`` when the
-run returns, with its results discarded.  Cells the run checkpointed
+never runs; :meth:`JobRunner.cancel` also settles it on the spot); a
+running job cannot be preempted mid-``run_cells`` — its handle moves
+to ``cancelling`` and settles as ``cancelled`` when the run returns,
+with its results discarded.
+
+A handle is *settled* once it is finished and its transition observers
+have run.  Anything that publishes a terminal state to a reader who
+then looks for the observers' side effects (the service's status
+endpoint, whose clients go on to read the sweep's event log) reports
+:meth:`JobHandle.published_state`, which stays non-terminal until the
+handle settles.  Cells the run checkpointed
 into the result cache before the cancel stay checkpointed (a re-submit
 resumes from them), exactly like an interrupted CLI sweep.
 
@@ -92,6 +100,20 @@ class JobHandle:
         service's ``sweep_finish`` telemetry row); followers of those
         side effects wait for ``settled`` instead."""
         return self._settled.is_set()
+
+    def published_state(self) -> str:
+        """The state to show readers of the observers' side effects.
+
+        A terminal state is published only once the handle has settled;
+        until then a finished job still reads as ``running`` (or
+        ``cancelling`` on its way to ``cancelled``).  So "terminal
+        status => observers' side effects are in place" holds for every
+        reader, whatever the thread interleaving.
+        """
+        state = self.state
+        if state in FINISHED_STATES and not self.settled:
+            return "cancelling" if state == "cancelled" else "running"
+        return state
 
     def poll(self) -> Dict:
         """A snapshot of everything observable about the job."""
@@ -228,6 +250,24 @@ class JobRunner:
                 self._thread.start()
             self._wake.notify()
         return handle
+
+    def cancel(self, handle: JobHandle) -> bool:
+        """Cancel a job; ``True`` if it will not produce results.
+
+        A job still waiting in the queue is taken out of it and settled
+        here, observers included, so its terminal state is published at
+        once.  The queue lock makes this and the executor's pop
+        mutually exclusive: exactly one of them settles the handle.
+        """
+        with self._lock:
+            cancelled = handle.cancel()
+            dequeued = cancelled and handle in self._queue
+            if dequeued:
+                self._queue.remove(handle)
+        if dequeued:
+            self._notify(handle, handle.state)
+            handle._settled.set()
+        return cancelled
 
     # -- executor ------------------------------------------------------------
 

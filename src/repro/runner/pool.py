@@ -296,6 +296,12 @@ class _Supervisor:
             size=len(item.indices),
             decode_reuses=batch_meta.get("decode_reuses", 0),
         )
+        if "lanes_fallback" in batch_meta:
+            # Once per process: the compiled lane kernel was unusable
+            # and the worker ran the (bit-identical) Python kernel.
+            self.telemetry.emit(
+                "lanes_fallback", batch_id=batch.batch_id, reason=batch_meta["lanes_fallback"]
+            )
         if "lane_width" in batch_meta:
             # Lane metrics ride along only for kernel-backed batches.
             event["lane_width"] = batch_meta["lane_width"]

@@ -267,6 +267,7 @@ register(
         store_factory=_plcache_store,
         controller_factory=_plcache_controller,
         preload=True,
+        lane_eligible=True,
     )
 )
 register(
@@ -275,6 +276,7 @@ register(
         summary="L1 bypass for security-critical accesses",
         controller_factory=_disable_cache_controller,
         needs_protected=True,
+        lane_eligible=True,
     )
 )
 register(

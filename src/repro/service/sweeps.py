@@ -94,7 +94,9 @@ class Sweep:
         poll = self.handle.poll()
         return {
             "id": self.sweep_id,
-            "state": poll["state"],
+            # Terminal only once the observers have sealed the event
+            # log (its sweep_finish row is on disk).
+            "state": self.handle.published_state(),
             "cells": self.cells,
             "client": self.client,
             "created_at": self.created_at,
@@ -474,11 +476,10 @@ class SweepService:
 
     def cancel(self, sweep_id: str) -> Dict[str, Any]:
         sweep = self.get(sweep_id)
-        if sweep.handle.cancel():
-            # The handle settled immediately (it was still queued):
-            # journal the terminal record now — the executor's observer
-            # will confirm it later, and duplicate terminal records are
-            # idempotent under replay.
+        if self.runner.cancel(sweep.handle):
+            # It never ran (it was still queued): journal why, next to
+            # the observer's terminal record — duplicate terminal
+            # records are idempotent under replay.
             self._journal_advisory("cancelled", sweep_id, reason="client_cancel")
         return sweep.status()
 

@@ -152,6 +152,49 @@ class TestCancel:
         with pytest.raises(RuntimeError, match="cancelled"):
             victim.result(timeout=1)
 
+    def test_runner_cancel_settles_a_queued_job_at_once(self, runner):
+        transitions = []
+        blocker = runner.submit([slow_spec(1)], jobs=1, progress=False)
+        deadline = time.monotonic() + 30
+        while blocker.state == "queued" and time.monotonic() < deadline:
+            time.sleep(0.005)
+        victim = runner.submit(
+            [quick_spec(8)],
+            on_transition=lambda h, s: transitions.append(s),
+            jobs=1, progress=False,
+        )
+        assert victim.published_state() == "queued"
+        assert runner.cancel(victim) is True
+        # Settled before cancel() returned: observers ran exactly once,
+        # and the terminal state is published while the blocker runs.
+        assert victim.settled
+        assert victim.published_state() == "cancelled"
+        assert transitions == ["cancelled"]
+        assert runner.queued() == 0
+        blocker.result(timeout=120)
+        assert transitions == ["cancelled"]
+
+    def test_finished_but_unsettled_reads_as_running(self, runner):
+        release = threading.Event()
+        seen = []
+
+        def slow_observer(handle, state):
+            if state == "done":
+                seen.append(handle.published_state())
+                release.wait(30)
+
+        handle = runner.submit([quick_spec(4)], on_transition=slow_observer,
+                               jobs=1, progress=False)
+        handle.result(timeout=120)
+        assert handle.state == "done"
+        assert handle.published_state() == "running"
+        release.set()
+        deadline = time.monotonic() + 30
+        while not handle.settled and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert seen == ["running"]
+        assert handle.published_state() == "done"
+
     def test_cancel_running_job_discards_results(self, runner):
         handle = runner.submit([slow_spec(3)], jobs=1, progress=False)
         deadline = time.monotonic() + 30

@@ -12,6 +12,10 @@ import time
 
 import pytest
 
+from repro.cpu import lanes as lanes_mod
+from repro.experiments.config import BASELINE_CONFIG
+from repro.experiments.perf_crypto import FIGURE6_SCHEMES
+
 from repro.runner.batch import (
     DEFAULT_LANES,
     MAX_BATCH,
@@ -25,6 +29,16 @@ from repro.runner.cells import CellSpec, run_cell
 from repro.runner.pool import last_run_stats, run_cells
 from repro.runner.result_cache import ResultCache
 from repro.runner.telemetry import read_events
+
+
+def _crypto_specs(geometries=((8 * 1024, 1),), seed=0, message_kb=1,
+                  schemes=FIGURE6_SCHEMES):
+    """Figure 6 cells: every scheme at each (size, assoc) geometry."""
+    return [CellSpec(kind="crypto", scheme=scheme,
+                     window=(16, 15) if scheme == "random_fill" else None,
+                     message_kb=message_kb, seed=seed,
+                     config=BASELINE_CONFIG.with_l1d(size, assoc))
+            for size, assoc in geometries for scheme in schemes]
 
 
 def _general_specs(n=4, benchmark="astar", n_refs=1500, seed=0):
@@ -143,6 +157,19 @@ class TestLanePlanner:
         sizes = [len(i.indices) for i in items if isinstance(i, BatchItem)]
         assert sizes == [MAX_BATCH, 8]
 
+    def test_crypto_groups_are_per_geometry(self):
+        geometries = [(size * 1024, assoc) for size in (8, 16, 32)
+                      for assoc in (1, 2, 4)]
+        specs = _crypto_specs(geometries)
+        items = plan_batches(specs, range(len(specs)), lanes=64)
+        assert [i.batch.kind for i in items] == ["crypto"] * 9
+        assert [i.indices for i in items] == [
+            tuple(range(g * 4, g * 4 + 4)) for g in range(9)]
+        # Chunked at the lane width like general groups: 4 -> 3 + 1.
+        items = plan_batches(specs[:4], range(4), lanes=3)
+        assert [i.indices for i in items if isinstance(i, BatchItem)] == [(0, 1, 2)]
+        assert items[-1] == 3
+
     def test_non_general_kinds_keep_scalar_cap(self):
         class SquareSpec:
             def __init__(self, value):
@@ -207,6 +234,54 @@ class TestLaneRuns:
         # and no lane field for fallbacks.
         assert [m.get("lane_width") for m in metas] == [3, 3, 3, None, None]
         assert results == [run_cell(spec) for spec in specs]
+
+    def test_crypto_batch_with_ineligible_member(self):
+        # random_fill_newcache never lowers: it falls back to run_cell
+        # inside the crypto batch while the Figure 6 schemes lane.
+        specs = _crypto_specs(seed=1)
+        specs.append(CellSpec(kind="crypto", scheme="random_fill_newcache",
+                              window=(8, 7), message_kb=1, seed=1,
+                              config=specs[0].config))
+        batch = CellBatch("b0", "crypto", tuple(specs))
+        results, metas, batch_meta = run_batch(batch, lanes=64)
+        assert batch_meta["vectorized_cells"] == 4
+        assert batch_meta["scalar_fallback_cells"] == 1
+        assert [m.get("lane_width") for m in metas] == [4, 4, 4, 4, None]
+        assert results == [run_cell(spec) for spec in specs]
+
+    def test_crypto_widths_are_bit_identical(self, nocache, monkeypatch):
+        specs = _crypto_specs(((8 * 1024, 1), (32 * 1024, 4)), seed=2)
+        with_batching = {}
+        for width in (0, 1, 2, 64):
+            monkeypatch.setenv("REPRO_LANES", str(width))
+            with_batching[width] = run_cells(specs, jobs=1, result_cache=nocache)
+            stats = last_run_stats()
+            assert stats["batched_cells"] == 8
+            assert stats["vectorized_cells"] == (8 if width >= 2 else 0)
+        unbatched = run_cells(specs, jobs=1, result_cache=nocache, batch=False)
+        assert last_run_stats()["batches"] == 0
+        assert all(r == unbatched for r in with_batching.values())
+        assert unbatched == [run_cell(spec) for spec in specs]
+
+    def test_lanes_fallback_event_once(self, nocache, monkeypatch, tmp_path):
+        # A garbage artifact at the kernel's cache path: the run falls
+        # back to the Python kernel with identical results, and the
+        # telemetry names the reason exactly once.
+        specs = _crypto_specs(((8 * 1024, 1), (16 * 1024, 2)), seed=3)
+        expected = run_cells(specs, jobs=1, result_cache=nocache)
+        monkeypatch.setenv("REPRO_LANES_CACHE", str(tmp_path / "lanes"))
+        monkeypatch.setattr(lanes_mod, "_native_fn", None)
+        monkeypatch.setattr(lanes_mod, "_native_tried", False)
+        monkeypatch.setattr(lanes_mod, "_native_error", None)
+        path = lanes_mod.artifact_path()
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(b"garbage")
+        log = str(tmp_path / "telemetry.jsonl")
+        assert run_cells(specs, jobs=1, result_cache=nocache, telemetry=log) == expected
+        fallbacks = [e for e in read_events(log) if e["event"] == "lanes_fallback"]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["reason"].startswith("load failed")
 
     def test_check_env_bypasses_lane_planning(self, nocache, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "256")

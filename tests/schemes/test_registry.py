@@ -155,14 +155,18 @@ class TestBuiltinCatalogue:
 class TestLaneFlags:
     """The declarative flags agree with the structural planner check."""
 
-    def _cell(self, scheme, window):
-        return CellSpec(
-            kind="general", scheme=scheme, benchmark="astar", window=window
-        )
+    def _cell(self, scheme, window, kind="general"):
+        return CellSpec(kind=kind, scheme=scheme, benchmark="astar", window=window)
 
     def test_flagged_schemes_lower(self):
         assert lane_eligible(self._cell("baseline", None))
         assert lane_eligible(self._cell("random_fill", (4, 3)))
+        # Without protected regions a general PLcache cell is a plain
+        # lock-free SA cache; crypto cells lower with the preload's
+        # lock bits and the disable-cache bypass as kernel hooks.
+        assert lane_eligible(self._cell("plcache_preload", None))
+        for name in ("plcache_preload", "disable_cache"):
+            assert lane_eligible(self._cell(name, None, kind="crypto")), name
 
     def test_pow2_window_only_gate(self):
         # (4, 2) is a 7-entry window: the fused kernel masks draws, so
@@ -170,11 +174,19 @@ class TestLaneFlags:
         assert not lane_eligible(self._cell("random_fill", (4, 2)))
 
     def test_unflagged_schemes_do_not_lower(self):
-        for name in ("newcache", "plcache_preload", "tagged_prefetch"):
+        for name in ("newcache", "tagged_prefetch"):
             assert not lane_eligible(self._cell(name, None)), name
+        assert not lane_eligible(self._cell("random_fill_newcache", (8, 7), kind="crypto"))
 
-    def test_needs_protected_schemes_are_safely_ineligible(self):
-        # The registry early-out must answer False without attempting a
-        # build (these schemes cannot build without protected regions).
+    def test_needs_protected_schemes_are_safely_ineligible(self, monkeypatch):
+        # The registry early-out must answer False for general cells
+        # without attempting a build (these schemes cannot build
+        # without protected regions).
+        import repro.experiments.schemes as schemes_mod
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("lane_eligible attempted a build")
+
+        monkeypatch.setattr(schemes_mod, "build_scheme", no_build)
         for name in ("disable_cache", "random_and_safe"):
             assert not lane_eligible(self._cell(name, None)), name

@@ -9,6 +9,8 @@ drop_stream_after`` and assert the resumed stream delivers every event
 exactly once.
 """
 
+import time
+
 import pytest
 
 from repro.leakage.sweep import LeakageCellSpec
@@ -146,6 +148,39 @@ def server(tmp_path):
     handle = serve_in_thread(config, service=service)
     yield handle
     handle.stop()
+
+
+class TestTerminalStatusSealsEventLog:
+    """A terminal status means the sweep's event log is complete."""
+
+    def test_events_read_right_after_wait_end_with_the_terminal_row(self, tmp_path):
+        config = ServiceConfig(host="127.0.0.1", port=0, jobs=1, queue_depth=4,
+                               rate=1000.0, burst=1000.0,
+                               spool_dir=str(tmp_path / "spool"))
+        store = DiskResultStore(ResultCache(disk_dir=str(tmp_path / "results")))
+        service = SweepService(config, store=store)
+        emit = service._emit
+
+        def late_terminal_row(path, event, **fields):
+            # Widen the window between the job finishing and the
+            # observer writing sweep_finish far past any polling
+            # interval: a status that turned terminal before the row
+            # landed would be caught every time.
+            if event == "sweep_finish":
+                time.sleep(0.5)
+            emit(path, event, **fields)
+
+        service._emit = late_terminal_row
+        handle = serve_in_thread(config, service=service)
+        try:
+            client = ServiceClient(handle.host, handle.port, client_id="seal")
+            sweep_id = client.submit(quick_grid())["id"]
+            assert client.wait(sweep_id, timeout=120)["state"] == "done"
+            events = list(client.stream_events(sweep_id, follow=False))
+            assert events[-1]["event"] == "sweep_finish"
+            assert events[-1]["state"] == "done"
+        finally:
+            handle.stop()
 
 
 class TestStreamResume:
