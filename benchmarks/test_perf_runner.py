@@ -35,7 +35,13 @@ engine, the content-addressed result cache, and the lane kernel:
   (every checked cell takes the per-cell oracle path) and its on-mode
   slowdown must stay under a soft ceiling,
 * neither ``single_cell_s`` nor ``fig10_20k_sweep_s`` may regress more
-  than 30% against the committed baseline (the CI perf smoke gate).
+  than 30% against the committed baseline (the CI perf smoke gate),
+* the CLI's ``leakage --smoke`` grid (functional trial loops and
+  estimators, no timing model) at ``jobs=1`` may not regress more than
+  30% against its baseline either.  This is a regression gate only: its
+  baseline was measured on the commit that added it, after the
+  vectorized success-rate estimator and candidate-only Newcache/RPcache
+  invalidation landed.
 
 All gated timings are **process CPU time** (``time.process_time``),
 min-of-N: the reference container shares its single core with bursty
@@ -47,6 +53,8 @@ Timings land in ``BENCH_runner.json`` at the repository root alongside
 the per-sweep entries the ``python -m repro sweep`` CLI records.
 """
 
+import contextlib
+import io
 import os
 import shutil
 import tempfile
@@ -56,6 +64,7 @@ from pathlib import Path
 from _reporting import save_report
 
 from repro import check as check_mod
+from repro.__main__ import main as repro_main
 
 from repro.experiments.perf_crypto import cached_cbc_trace, figure6
 from repro.experiments.perf_general import figure10
@@ -70,6 +79,15 @@ SEED_FIG10_20K_S = 6.31      # seed revision, reference container
 
 BASE_SINGLE_CELL_S = 0.1408  # committed baseline before the columnar engine
 BASE_FIG10_20K_S = 2.9759    # committed baseline before the columnar engine
+
+#: ``python -m repro leakage --jobs 1 --smoke`` (19 cells), process CPU
+#: seconds, min of 3.  Twelve readings on the reference container (2
+#: vCPUs shared with other tenants, Python 3.11) when the gate landed
+#: spanned 1.01-1.72 s (median 1.18 s); the code before it read
+#: 1.66-2.32 s (median 2.25 s) back to back.  The base sits near the top
+#: of the readings, so host load alone does not trip the 30% gate while
+#: a return to the old per-line loops does.
+BASE_LEAKAGE_SMOKE_S = 1.50
 
 #: CI perf smoke gate: fail on more than this regression vs. the baseline
 MAX_REGRESSION = 1.30
@@ -111,6 +129,14 @@ def _min_timed_sweep(sweep, repeats=3):
         if best_s is None or elapsed < best_s:
             best_s, best_points = elapsed, points
     return best_s, best_points
+
+
+def _leakage_smoke():
+    """The CLI's ``leakage --smoke`` grid at ``jobs=1``, every cell
+    simulated (result cache bypassed, no report written)."""
+    with RESULT_CACHE.disabled(), contextlib.redirect_stdout(io.StringIO()):
+        repro_main(["leakage", "--jobs", "1", "--smoke", "--report", ""])
+    return last_run_stats()
 
 
 def _fig6_key(points):
@@ -185,6 +211,10 @@ def run():
     jobs_match = _points_key(sequential) == _points_key(parallel)
     lanes_match = _points_key(sequential) == _points_key(batched_points)
     batch_match = _points_key(batched_points) == _points_key(percell_points)
+
+    # Leakage smoke grid: functional trial loops and estimators only,
+    # so a slowdown in the leakage path shows here and nowhere else.
+    leakage_smoke_s, leakage_stats = _min_timed_sweep(_leakage_smoke)
 
     # Warm re-run: fill a fresh result cache, then time the identical
     # sweep served entirely from it.
@@ -288,6 +318,9 @@ def run():
         "fig6_lanes_match_percell": fig6_match,
         "fig6_cells": len(fig6_lane_points),
         "fig6_vectorized_cells": fig6_stats.get("vectorized_cells", 0),
+        "leakage_smoke_s": round(leakage_smoke_s, 4),
+        "leakage_smoke_base_s": BASE_LEAKAGE_SMOKE_S,
+        "leakage_smoke_cells": leakage_stats.get("cells", 0),
         "fig10_20k_warm_s": round(warm_s, 4),
         "warm_speedup": round(cold_s / warm_s, 1),
         "warm_cache_hits": warm_stats.get("result_cache_hits", 0),
@@ -347,6 +380,8 @@ def test_runner_speedups(benchmark):
     # also the acceptance test that supervision overhead stays small.
     assert payload["single_cell_s"] <= BASE_SINGLE_CELL_S * MAX_REGRESSION
     assert payload["fig10_20k_sweep_s"] <= BASE_FIG10_20K_S * MAX_REGRESSION
+    assert payload["leakage_smoke_cells"] == 19
+    assert payload["leakage_smoke_s"] <= BASE_LEAKAGE_SMOKE_S * MAX_REGRESSION
 
     # A healthy benchmark run must never trip the supervisor.
     assert payload["supervision_retries"] == 0

@@ -9,6 +9,11 @@ tag store
     * no set holds more lines than the associativity;
     * for the stock set-associative mapping, every line sits in the
       set its address selects;
+    * Newcache: every mapped frame sits under ``(rmt, line &
+      index_mask)`` of a filled RMT, and the free list and the mapped
+      frames partition the frames; RPcache: every line sits in the set
+      its domain's permutation selects (what their ``invalidate``
+      relies on to probe only candidate keys or sets);
     * occupancy never exceeds ``capacity_lines``.
 
 MSHR file
@@ -131,7 +136,14 @@ def validate_tag_store(store, where: str = "tag-store",
                         f"line 0x{line:x} resident in set {set_index}, "
                         f"maps to set {line & mask}", index=index)
         return
-    # Generic TagStore (e.g. Newcache): global uniqueness + occupancy.
+    from repro.secure.newcache import Newcache
+    from repro.secure.rpcache import RPCache
+
+    if isinstance(store, Newcache):
+        _validate_newcache(store, where, index)
+    elif isinstance(store, RPCache):
+        _validate_rpcache(store, where, index)
+    # Every other store (and these two): global uniqueness + occupancy.
     lines = list(store.resident_lines())
     if len(lines) != len(set(lines)):
         duplicate = next(ln for ln in lines if lines.count(ln) > 1)
@@ -144,6 +156,35 @@ def validate_tag_store(store, where: str = "tag-store",
             "occupancy", where,
             f"{len(lines)} resident lines exceed capacity {capacity}",
             index=index)
+
+
+def _validate_newcache(store, where: str, index: Optional[int]) -> None:
+    mask = store._index_mask
+    for (rmt_id, line_index), phys in store._mapping.items():
+        entry = store._phys[phys]
+        if (entry is None or rmt_id not in store._rmts
+                or (entry.rmt_id, entry.index, entry.line_addr & mask)
+                != (rmt_id, line_index, line_index)):
+            held = "nothing" if entry is None else f"line 0x{entry.line_addr:x}"
+            raise CheckViolation(
+                "set-mapping", where,
+                f"frame {phys} mapped under RMT {rmt_id} index 0x{line_index:x} "
+                f"holds {held}", index=index)
+    if sorted([*store._free, *store._mapping.values()]) != list(range(store.capacity_lines)):
+        raise CheckViolation(
+            "occupancy", where,
+            "free list and mapped frames do not partition the frames", index=index)
+
+
+def _validate_rpcache(store, where: str, index: Optional[int]) -> None:
+    for set_index, cache_set in enumerate(store._sets):
+        for line in cache_set:
+            table = store._perms.get(line.domain)
+            if table is None or table[store.amap.set_of_line(line.line_addr)] != set_index:
+                raise CheckViolation(
+                    "set-mapping", where,
+                    f"line 0x{line.line_addr:x} of domain {line.domain} resident in "
+                    f"set {set_index}, not where its permutation maps it", index=index)
 
 
 def _validate_mshr(l1, index: Optional[int]) -> None:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util.rng import derive_seed
 
@@ -234,6 +235,10 @@ def success_rate_curve(
     Returns ``(n, success_rate, mean_rank)`` triples, where success
     means the true secret is the *strict* likelihood winner and ranks
     are 1-based with ties sharing their block's mean rank.
+
+    Draws stay one scalar stream per ``n``; scoring is vectorized, with
+    log-likelihoods summed one observation column at a time, left to
+    right, so every score is the float a scalar left-to-right sum gives.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -243,52 +248,60 @@ def success_rate_curve(
     if not secrets:
         raise ValueError("success rate of an empty joint is undefined")
     obs_alphabet = list(joint.observation_marginal())
+    symbol_id = {obs: i for i, obs in enumerate(obs_alphabet)}
     k_obs = len(obs_alphabet) + 1  # +1: an implicit unseen symbol
-    # Per-secret sampling tables and smoothed log-likelihood templates.
     rows = [joint.row(secret) for secret in secrets]
-    cum_tables = []
-    for row in rows:
-        symbols = list(row)
-        cum: List[int] = []
-        running = 0
-        for obs in symbols:
-            running += row[obs]
-            cum.append(running)
-        cum_tables.append((symbols, cum, running))
-    log_templates: List[Dict[Observation, float]] = []
-    for row in rows:
-        denom = math.log(sum(row.values()) + smoothing * k_obs)
-        log_templates.append(
-            {obs: math.log(row.get(obs, 0) + smoothing) - denom for obs in obs_alphabet}
-        )
-    floor_scores = [
-        math.log(smoothing) - math.log(sum(row.values()) + smoothing * k_obs) for row in rows
-    ]
+    totals = [sum(row.values()) for row in rows]
+    # Smoothed log-likelihood templates, [observation x secret].  Every
+    # drawn symbol is in the alphabet, so the unseen floor is never read.
+    templates = np.empty((len(obs_alphabet), len(rows)))
+    for col, row in enumerate(rows):
+        denom = math.log(totals[col] + smoothing * k_obs)
+        templates[:, col] = [math.log(row.get(obs, 0) + smoothing) - denom for obs in obs_alphabet]
+    # Draw r in [0, totals[s]) selects the symbol whose running-count
+    # bucket holds it: one bisect over all rows' counts, offset by row.
+    symbols = np.array([symbol_id[obs] for row in rows for obs in row])
+    bounds = np.cumsum([count for row in rows for count in row.values()])
+    starts = np.cumsum([0] + totals[:-1])
 
     points: List[Tuple[int, float, float]] = []
     for n in measurement_counts:
         if n <= 0:
             raise ValueError(f"measurement counts must be positive, got {n}")
-        rng = random.Random(derive_seed(seed, "success-rate", n))
-        successes = 0
-        rank_sum = 0.0
+        getrandbits = random.Random(derive_seed(seed, "success-rate", n)).getrandbits
+        true_ids: List[int] = []
+        draws: List[int] = []
         for _ in range(repeats):
-            true_idx = rng.randrange(len(secrets))
-            symbols, cum, total_s = cum_tables[true_idx]
-            drawn = [symbols[bisect_right(cum, rng.randrange(total_s))] for _ in range(n)]
-            scores = []
-            for idx in range(len(secrets)):
-                template = log_templates[idx]
-                floor = floor_scores[idx]
-                scores.append(sum(template.get(obs, floor) for obs in drawn))
-            true_score = scores[true_idx]
-            higher = sum(1 for s in scores if s > true_score)
-            ties = sum(1 for s in scores if s == true_score) - 1
-            if higher == 0 and ties == 0:
-                successes += 1
-            rank_sum += 1 + higher + ties / 2.0
+            true_idx = _draws_below(getrandbits, len(secrets), 1)[0]
+            true_ids.append(true_idx)
+            draws += _draws_below(getrandbits, totals[true_idx], n)
+        true_arr = np.array(true_ids)
+        offsets = starts[true_arr][:, None] + np.array(draws).reshape(repeats, n)
+        drawn = symbols[np.searchsorted(bounds, offsets, side="right")]
+        scores = templates[drawn[:, 0]]  # [repeat x secret]
+        for col in range(1, n):
+            scores += templates[drawn[:, col]]
+        true_scores = scores[np.arange(repeats), true_arr][:, None]
+        higher = np.count_nonzero(scores > true_scores, axis=1)
+        ties = np.count_nonzero(scores == true_scores, axis=1) - 1
+        successes = int(np.count_nonzero((higher == 0) & (ties == 0)))
+        # Ranks are multiples of 1/2, so this equals the running float sum.
+        rank_sum = (2 * (repeats + int(higher.sum())) + int(ties.sum())) / 2.0
         points.append((n, successes / repeats, rank_sum / repeats))
     return points
+
+
+def _draws_below(getrandbits, bound: int, count: int) -> List[int]:
+    """``count`` draws equal to ``randrange(bound)``'s: on CPython 3.10-3.13
+    that is ``getrandbits(bound.bit_length())`` with rejection."""
+    bits = bound.bit_length()
+    values = []
+    for _ in range(count):
+        value = getrandbits(bits)
+        while value >= bound:
+            value = getrandbits(bits)
+        values.append(value)
+    return values
 
 
 def n_to_success(curve: Sequence[Tuple[int, float, float]], target: float = 0.9) -> Optional[int]:

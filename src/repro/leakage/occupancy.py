@@ -79,15 +79,17 @@ def run_occupancy_trials(
 
     checker = active_checker()
 
+    # Nothing touches the store between one trial's probe and the next
+    # trial's reset, so one resident snapshot per trial serves both.
+    resident = resident_array(store)
     for _ in range(trials):
         if checker is not None:
             checker.maybe_validate_store(store, where="occupancy.tag_store")
-        scheme.reset_victim()
+        scheme.reset_victim(resident)
         # Prime: top the cache back up with attacker lines (after the
-        # first trial only the previously displaced ones refill).  This
-        # stays a per-line loop on purpose: ``access`` on a hit updates
-        # recency state, which steers the victim's later evictions, so
-        # a precomputed membership mask would change results.
+        # first trial only the previously displaced ones refill).  One
+        # per-line loop over the store's own access/fill: a hit updates
+        # recency state, which steers the victim's later evictions.
         for line in prime_lines:
             if not store.access(line, attacker_ctx):
                 store.fill(line, attacker_ctx)
@@ -95,11 +97,9 @@ def run_occupancy_trials(
         secret = rng.randrange(m)
         for line in region_lines[: secret + 1]:
             scheme.victim_access(line)
-        # Probe: the aggregate miss count is the whole observation.
-        # ``probe`` is side-effect-free in every store and each prime
-        # address is resident at most once, so the per-line probe scan
-        # collapses into one numpy range-membership count over the
-        # store's resident-line array.
+        # Probe: the aggregate miss count is the whole observation.  Each
+        # prime address is resident at most once, so counting the
+        # snapshot's lines in the prime range counts the hits.
         resident = resident_array(store)
         present = int(np.count_nonzero((resident >= ATTACKER_BASE_LINE) & (resident < prime_end)))
         joint.add(secret, n_prime - present)

@@ -23,7 +23,7 @@ attacks — which is the paper's point.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cache.context import AccessContext, DEFAULT_CONTEXT
 from repro.cache.tagstore import TagStore
@@ -73,28 +73,19 @@ class Newcache(TagStore):
         self._phys: List[Optional[_PhysLine]] = [None] * self.capacity_lines
         self._mapping: Dict[Tuple[int, int], int] = {}
         self._free: List[int] = list(range(self.capacity_lines))
-
-    # -- geometry helpers ----------------------------------------------------
-
-    def _slot(self, line_addr: int, ctx: AccessContext) -> Tuple[int, int, int]:
-        """(rmt_id, logical index, tag) of a line address."""
-        index = line_addr & self._index_mask
-        tag = line_addr >> self.index_bits
-        return ctx.domain, index, tag
+        #: RMT ids that have mapped a line (the keys invalidate probes)
+        self._rmts: Set[int] = set()
 
     # -- TagStore interface ----------------------------------------------
 
     def probe(self, line_addr: int, ctx: AccessContext = DEFAULT_CONTEXT) -> bool:
-        rmt_id, index, _ = self._slot(line_addr, ctx)
-        phys = self._mapping.get((rmt_id, index))
-        if phys is None:
-            return False
-        entry = self._phys[phys]
-        return entry is not None and entry.line_addr == line_addr
+        # A mapped frame always holds an entry (the checked-mode
+        # invariants pin that), so no None test on the hot path.
+        phys = self._mapping.get((ctx.domain, line_addr & self._index_mask))
+        return phys is not None and self._phys[phys].line_addr == line_addr
 
-    # Logical-DM lookup has no recency state, so access == probe.
-    def access(self, line_addr: int, ctx: AccessContext = DEFAULT_CONTEXT) -> bool:
-        return self.probe(line_addr, ctx)
+    # Logical-DM lookup has no recency state, so access is probe.
+    access = probe
 
     def _evict_phys(self, phys: int) -> Optional[int]:
         entry = self._phys[phys]
@@ -115,7 +106,8 @@ class Newcache(TagStore):
 
     def fill(self, line_addr: int,
              ctx: AccessContext = DEFAULT_CONTEXT) -> Optional[int]:
-        rmt_id, index, _ = self._slot(line_addr, ctx)
+        rmt_id = ctx.domain
+        index = line_addr & self._index_mask
         key = (rmt_id, index)
         phys = self._mapping.get(key)
         if phys is not None:
@@ -133,18 +125,28 @@ class Newcache(TagStore):
         evicted = self._evict_phys(victim)
         self._phys[victim] = _PhysLine(rmt_id, index, line_addr)
         self._mapping[key] = victim
+        self._rmts.add(rmt_id)
         return evicted
 
     def invalidate(self, line_addr: int) -> bool:
-        # The line may be mapped under any domain's RMT; scan mappings for
-        # this address (invalidation is off the critical path).
-        for (rmt_id, index), phys in list(self._mapping.items()):
-            entry = self._phys[phys]
-            if entry is not None and entry.line_addr == line_addr:
-                self._evict_phys(phys)
-                self._free.append(phys)
-                return True
-        return False
+        # A line can only be mapped under (rmt, line & index_mask) of an
+        # RMT that has filled: probe those keys, never scan the mapping.
+        index = line_addr & self._index_mask
+        mapping = self._mapping
+        held = []
+        for rmt_id in self._rmts:
+            phys = mapping.get((rmt_id, index))
+            if phys is not None and self._phys[phys].line_addr == line_addr:
+                held.append(phys)
+        if not held:
+            return False
+        if len(held) > 1:
+            # Held under several RMTs: drop the copy mapped first, which
+            # keeps the _free order of a scan in mapping order.
+            held = [phys for phys in mapping.values() if phys in held]
+        self._evict_phys(held[0])
+        self._free.append(held[0])
+        return True
 
     def flush(self) -> None:
         self._mapping.clear()

@@ -125,8 +125,11 @@ class RPCache(TagStore):
         return evicted
 
     def invalidate(self, line_addr: int) -> bool:
-        # The line may live under any domain's mapping; search all sets.
-        for cache_set in self._sets:
+        # A line filled by domain d sits in set perm[d][set_of_line(line)]:
+        # search only those sets, lowest index first like a full scan.
+        raw = self.amap.set_of_line(line_addr)
+        for set_index in sorted({table[raw] for table in self._perms.values()}):
+            cache_set = self._sets[set_index]
             index = self._find(cache_set, line_addr)
             if index >= 0:
                 cache_set.pop(index)

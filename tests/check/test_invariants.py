@@ -32,6 +32,18 @@ def _ran_l1(scheme_name="random_fill", window=(4, 3), n=600, seed=3):
     return scheme.l1
 
 
+def _functional_store(scheme_name, trials=25):
+    """A leakage-channel store after a few occupancy trials: both the
+    victim's and the attacker's domain have filled lines."""
+    from repro.leakage.adapters import build_functional_scheme
+    from repro.leakage.occupancy import run_occupancy_trials
+    from repro.secure.region import ProtectedRegion
+
+    scheme = build_functional_scheme(scheme_name, ProtectedRegion(0x10000, 16 * 64))
+    run_occupancy_trials(scheme, trials=trials, seed=5)
+    return scheme.tag_store
+
+
 def _kind(excinfo) -> str:
     return excinfo.value.kind
 
@@ -203,3 +215,70 @@ class TestNewcacheStore:
     def test_healthy_newcache_validates(self):
         l1 = _ran_l1("newcache", window=None)
         validate_l1(l1)
+
+    def test_healthy_functional_newcache_validates(self):
+        validate_tag_store(_functional_store("newcache"))
+
+    def test_line_under_the_wrong_key(self):
+        store = _functional_store("newcache")
+        (rmt_id, line_index), phys = next(iter(store._mapping.items()))
+        # Re-key the frame one index over: the entry no longer sits
+        # under (rmt, line & index_mask), so invalidate could miss it.
+        moved = next(i for i in range(line_index + 1, store._index_mask + 1)
+                     if (rmt_id, i) not in store._mapping)
+        del store._mapping[(rmt_id, line_index)]
+        store._mapping[(rmt_id, moved)] = phys
+        store._phys[phys].index = moved
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "set-mapping"
+
+    def test_mapping_under_an_unfilled_rmt(self):
+        store = _functional_store("newcache")
+        store._rmts.clear()
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "set-mapping"
+
+    def test_free_frame_still_mapped(self):
+        store = _functional_store("newcache")
+        store._free.append(next(iter(store._mapping.values())))
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "occupancy"
+
+    def test_lost_frame(self):
+        store = _functional_store("newcache")
+        # Unmapped but never returned to the free list.
+        del store._mapping[next(iter(store._mapping))]
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "occupancy"
+
+
+class TestRPCacheStore:
+    def test_healthy_rpcache_validates(self):
+        validate_tag_store(_functional_store("rpcache"))
+
+    def test_line_planted_in_the_wrong_set(self):
+        store = _functional_store("rpcache")
+        donor = next(i for i, s in enumerate(store._sets) if s)
+        target = (donor + 1) % store.num_sets
+        moved = store._sets[donor].pop()
+        if len(store._sets[target]) >= store.associativity:
+            store._sets[target].pop()
+        store._sets[target].append(moved)
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "set-mapping"
+
+    def test_swapped_permutation_entries(self):
+        store = _functional_store("rpcache")
+        line_state = next(ln for s in store._sets for ln in s)
+        table = store._perms[line_state.domain]
+        raw = store.amap.set_of_line(line_state.line_addr)
+        other = (raw + 1) % store.num_sets
+        table[raw], table[other] = table[other], table[raw]
+        with pytest.raises(CheckViolation) as excinfo:
+            validate_tag_store(store)
+        assert _kind(excinfo) == "set-mapping"

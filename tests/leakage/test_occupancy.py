@@ -9,7 +9,7 @@ fill adds collision noise, and preload+lock closes it entirely.
 import pytest
 
 from repro.core.window import RandomFillWindow
-from repro.leakage.adapters import build_functional_scheme
+from repro.leakage.adapters import build_functional_scheme, resident_array
 from repro.leakage.occupancy import run_occupancy_trials
 from repro.secure.region import ProtectedRegion
 
@@ -99,7 +99,31 @@ class TestAdapters:
             scheme.victim_access(line)
         scheme.reset_victim()
         resident = set(scheme.tag_store.resident_lines())
-        assert not (resident & scheme.victim_lines)
+        assert resident.isdisjoint(scheme.victim_lines)
+
+    @pytest.mark.parametrize("name, window", [
+        ("newcache", None),
+        ("random_fill_newcache", RandomFillWindow.bidirectional(8)),
+        ("rpcache", None),
+        ("random_fill", RandomFillWindow.bidirectional(8)),
+    ])
+    def test_reset_from_a_snapshot_keeps_the_scan_order(self, name, window):
+        # reset_victim(resident) must invalidate exactly the victim lines
+        # of the snapshot, in resident_lines() order (what a per-line
+        # scan of the store would do), so free lists and victim choices
+        # downstream stay the same.
+        scheme = build_functional_scheme(name, REGION, window=window, seed=4)
+        run_occupancy_trials(scheme, trials=20, seed=4)
+        for line in REGION.lines:
+            scheme.victim_access(line)
+        store = scheme.tag_store
+        expected = [line for line in store.resident_lines() if line in scheme.victim_lines]
+        assert len(expected) > 1
+        invalidated = []
+        invalidate = store.invalidate
+        store.invalidate = lambda line: invalidated.append(line) or invalidate(line)
+        scheme.reset_victim(resident_array(store))
+        assert invalidated == expected
 
     def test_victim_lines_include_window_margins(self):
         window = RandomFillWindow.bidirectional(8)

@@ -103,6 +103,36 @@ class FaultySpec:
         return ("ok", self.tag)
 
 
+class GatedSquareSpec(CacheableSquareSpec):
+    """Cacheable square whose first attempt records itself and then
+    blocks, so it is still running when another cell kills the pool."""
+
+    def run(self):
+        if _count_attempt(self.state_dir, f"square-{self.value}") == 0:
+            time.sleep(60)  # the pool is killed long before this returns
+        return self.value * self.value
+
+
+class KillWhenStartedSpec:
+    """Kills its worker (first attempt only) once ``tag`` has started."""
+
+    def __init__(self, state_dir, tag):
+        self.state_dir = state_dir
+        self.tag = tag
+
+    def __repr__(self):
+        return f"KillWhenStartedSpec({self.tag!r})"
+
+    def run(self):
+        if _count_attempt(self.state_dir, "killer") == 0:
+            deadline = time.monotonic() + 30
+            while (_attempts(self.state_dir, self.tag) == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            os._exit(139)
+        return ("ok", "killer")
+
+
 @pytest.fixture
 def nocache():
     return ResultCache(disk_dir=None, use_default_disk_dir=False)
@@ -304,10 +334,36 @@ class TestCheckpointResume:
         grid.append(FaultySpec("killer", state_dir, "kill", times=1))
         first = run_cells(grid, jobs=2, retries=2, result_cache=cache)
         assert first == [0, 1, 4, 9, 16, ("ok", "killer")]
+        # A square still in flight on the healthy worker when the killer
+        # breaks the pool is unfinished and runs again on the fresh pool
+        # (pinned below), so the first run may attempt it twice.
+        ran = [_attempts(state_dir, f"square-{i}") for i in range(5)]
+        assert all(n >= 1 for n in ran)
 
         # A fresh process re-running the same grid only recomputes the
         # uncacheable cell; every checkpointed square is restored.
         second = run_cells(grid, jobs=2, retries=2, result_cache=cache)
         assert second == first
-        assert all(_attempts(state_dir, f"square-{i}") == 1
-                   for i in range(5))
+        assert [_attempts(state_dir, f"square-{i}") for i in range(5)] == ran
+        assert last_run_stats()["result_cache_hits"] == 5
+
+    def test_square_in_flight_when_the_pool_breaks_runs_again(self, tmp_path,
+                                                               state_dir):
+        # The deterministic form of the case above: the killer exits
+        # only once square 3's first attempt is running, so square 3 is
+        # certainly in flight when the pool breaks.  The contract is to
+        # re-run every unfinished cell on a fresh pool (the executor
+        # cannot tell a finished-but-undelivered attempt from a lost
+        # one), so square 3 is attempted twice, then checkpointed.
+        cache = ResultCache(disk_dir=str(tmp_path / "results"))
+        grid = [GatedSquareSpec(3, state_dir),
+                KillWhenStartedSpec(state_dir, "square-3")]
+        first = run_cells(grid, jobs=2, retries=2, result_cache=cache)
+        assert first == [9, ("ok", "killer")]
+        assert _attempts(state_dir, "square-3") == 2
+        assert last_run_stats()["pool_restarts"] == 1
+
+        second = run_cells(grid, jobs=2, retries=2, result_cache=cache)
+        assert second == first
+        assert _attempts(state_dir, "square-3") == 2
+        assert last_run_stats()["result_cache_hits"] == 1

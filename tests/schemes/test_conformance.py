@@ -96,7 +96,7 @@ class TestFunctionalConformance:
             # plcache_preload re-runs its preload routine on reset.
             assert set(scheme.region.lines) <= resident
         else:
-            assert not resident & scheme.victim_lines
+            assert resident.isdisjoint(scheme.victim_lines)
 
     def test_leakage_cell_is_deterministic(self, name):
         spec = _occupancy_spec(name)
