@@ -16,8 +16,9 @@ engine, the content-addressed result cache, and the lane kernel:
 * a **cold** Figure 10 sweep at ``jobs=1`` (result cache bypassed) must
   be >= 1.5x faster than the previous committed baseline,
 * the **batched** scalar sweep (``REPRO_LANES=0``: one trace decode and
-  one vectorized random-fill draw row per benchmark group, scalar flat
-  kernel per cell) must be >= 1.5x faster than the same sweep with
+  warm-L2 replay per benchmark group, then the scalar flat kernel per
+  cell, drawing each random-fill offset from the cell's RNG at its
+  demand miss) must be >= 1.5x faster than the same sweep with
   ``--no-batch``, and bit-identical to it,
 * the **lane** sweep (the default path: eligible cells of a batch
   advance together through the lane kernel) must be >= 1.5x faster

@@ -20,40 +20,43 @@ Quick start::
     result = system.l1.access(0x10000, now=0)
 """
 
-from repro.core import (
-    RandomFillEngine,
-    RandomFillOS,
-    RandomFillPolicy,
-    RandomFillWindow,
-    build_random_fill_hierarchy,
-)
-from repro.cache import (
-    AccessContext,
-    DemandFetchPolicy,
-    L1Controller,
-    SetAssociativeCache,
-    build_hierarchy,
-)
-from repro.crypto import AES128, TracedAES128
-from repro.experiments import BASELINE_CONFIG, SimulatorConfig, build_scheme
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AES128",
-    "AccessContext",
-    "BASELINE_CONFIG",
-    "DemandFetchPolicy",
-    "L1Controller",
-    "RandomFillEngine",
-    "RandomFillOS",
-    "RandomFillPolicy",
-    "RandomFillWindow",
-    "SetAssociativeCache",
-    "SimulatorConfig",
-    "TracedAES128",
-    "build_hierarchy",
-    "build_random_fill_hierarchy",
-    "build_scheme",
-    "__version__",
-]
+#: re-exported name -> defining subpackage.  Resolved on first access
+#: (PEP 562), so importing one submodule — ``repro.cpu.lanes`` in a
+#: kernel-only process — does not load the experiment harness or the
+#: AES tables.
+_EXPORTS = {
+    "AES128": "repro.crypto",
+    "AccessContext": "repro.cache",
+    "BASELINE_CONFIG": "repro.experiments",
+    "DemandFetchPolicy": "repro.cache",
+    "L1Controller": "repro.cache",
+    "RandomFillEngine": "repro.core",
+    "RandomFillOS": "repro.core",
+    "RandomFillPolicy": "repro.core",
+    "RandomFillWindow": "repro.core",
+    "SetAssociativeCache": "repro.cache",
+    "SimulatorConfig": "repro.experiments",
+    "TracedAES128": "repro.crypto",
+    "build_hierarchy": "repro.cache",
+    "build_random_fill_hierarchy": "repro.core",
+    "build_scheme": "repro.experiments",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -11,26 +11,28 @@ at a time — onto the lane-parallel kernel
 (:func:`repro.cpu.lanes.run_lanes_general`):
 
 * :class:`GeneralGroupState` — the per-(trace, config, warm) inputs:
-  decoded line/step columns of the measured slice and the warmed L2
-  contents as plain int lists (copied per cell, the copy is cheap).
+  decoded int64 line/step columns of the measured slice (the lane
+  kernel reads them in place; the Python kernels' list forms are built
+  only when one asks) and the warmed L2 contents as plain int lists.
   ``"general"`` groups decode a workload trace (warm split optional);
   ``"crypto"`` groups decode the whole AES-CBC trace over an empty L2,
 * :func:`lower_cell` — build the cell's scheme exactly as its
   per-cell runner does (crypto cells with the AES tables protected,
   then the scheme's ``prepare()``, e.g. the PLcache preload), check
-  that it is a configuration the kernels transcribe, snapshot any
+  that it is a configuration the kernels transcribe, and snapshot any
   state the setup left (start cycle, L1 image with lock bits, L2
-  image, DRAM rows/banks), and pregenerate its random-fill draw row
-  from its own derived RNG stream; ineligible cells lower to ``None``
-  and the caller falls back to :func:`repro.runner.cells.run_cell`,
+  image, DRAM rows/banks) plus the random-fill engine's own RNG, which
+  the kernels draw from at each demand miss; lowering never advances
+  that RNG.  Ineligible cells lower to ``None`` and the caller falls
+  back to :func:`repro.runner.cells.run_cell`,
 * :func:`run_lowered_cell` / :func:`run_batched_cell` — one cell
   through the scalar flat kernel, or — for a cell with carried-in
   state or policy hooks — a width-1 lane call,
 * :func:`run_lane_cells` — a group of lowered cells through the lane
   kernel in one shared trace pass (the lanes must agree on
   :meth:`LoweredCell.shared_key`),
-* :func:`lane_eligible` — the structural half of the eligibility check
-  from the spec alone (no trace load), for plan displays.
+* :func:`lane_eligible` — the same check from the spec alone (no trace
+  load), for plan displays.
 
 The kernels cover the stock set-associative/LRU L1 with demand fetch
 or a power-of-two random-fill window, plus two policy hooks: PLcache
@@ -38,9 +40,9 @@ lock bits (a lock-aware victim choice) and the disable-cache scheme's
 L1 bypass of the protected lines.  Results are bit-identical to the
 per-cell path: the kernels are exact transcriptions of the fused
 kernel plus settle, the warm replay mirrors ``warm_l2``, the snapshot
-is the object model's own post-setup state, and the draw row
-reproduces the scalar ``draw()`` stream
-(:meth:`repro.util.rng.HardwareRng.pregenerate`).
+is the object model's own post-setup state, and every kernel draws
+from the cell's RNG at the same point the fused kernel does, leaving
+it where the per-cell run would.
 """
 
 from __future__ import annotations
@@ -52,29 +54,37 @@ from repro.cache.controller import DemandFetchPolicy
 from repro.cache.l2 import L2Cache
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.policy import RandomFillPolicy
-from repro.cpu.lanes import LaneCell, masked_offsets, run_lanes_general
+from repro.cpu.lanes import LaneCell, run_lanes_general
 from repro.cpu.timing import SimResult, run_flat_general
 from repro.cpu.trace import Trace
 from repro.memory.dram import DramModel
 from repro.secure.nocache import DisableCachePolicy
 from repro.secure.plcache import PLCache
 from repro.secure.region import RegionSet
+from repro.util.rng import WORD_BITS, HardwareRng
 
 #: thread whose window registers drive a batched run (the timing model's
 #: default context)
 _THREAD_ID = 0
 
 
+def _l2_num_sets(config) -> int:
+    return (config.l2_size // config.line_size) // config.l2_assoc
+
+
 class GeneralGroupState:
     """Shared inputs of one batch group: decode columns + warm L2 state.
 
     Built once per (trace, config, warm) group; every cell of the group
-    reads the same column lists (never mutated) and receives its own
-    copy of the warmed L2 sets (mutated by its kernel run).
+    reads the same columns (never mutated) and receives its own copy of
+    the warmed L2 sets (mutated by its kernel run).  ``line_array`` /
+    ``step_array`` are the int64 columns the lane kernel reads;
+    :attr:`lines` / :attr:`steps` are their plain-list forms for the
+    Python kernels, built on first use and memoized on the decode.
     """
 
-    __slots__ = ("config", "lines", "steps", "line_array", "step_array",
-                 "instructions", "l2_num_sets", "l2_assoc", "_warm_l2_sets")
+    __slots__ = ("config", "line_array", "step_array", "instructions",
+                 "l2_num_sets", "l2_assoc", "_decode", "_warm_l2_sets")
 
     def __init__(self, trace: Trace, config, warm: bool):
         self.config = config
@@ -90,15 +100,11 @@ class GeneralGroupState:
             footprint = ()
             measured = trace
         decode = measured.decoded(line_shift)
-        self.lines: List[int] = decode.lines_list()
-        self.steps: List[int] = decode.issue_steps(config.issue_width)
-        # The same columns as int64 arrays, which the native lane kernel
-        # reads in place (converting the lists costs more per call).
+        self._decode = decode
         self.line_array = decode.lines()
         self.step_array = decode.issue_step_array(config.issue_width)
         self.instructions: int = measured.instruction_count
-        self.l2_num_sets = (config.l2_size // config.line_size) \
-            // config.l2_assoc
+        self.l2_num_sets = _l2_num_sets(config)
         self.l2_assoc = config.l2_assoc
         # Flat replay of warm_l2: access-or-fill per footprint line on
         # MRU-first int lists (hits move to front, fills evict the LRU
@@ -117,6 +123,16 @@ class GeneralGroupState:
                     cache_set.pop()
                 cache_set.insert(0, line)
         self._warm_l2_sets = sets
+
+    @property
+    def lines(self) -> List[int]:
+        """Line address per measured record, as plain ints."""
+        return self._decode.lines_list()
+
+    @property
+    def steps(self) -> List[int]:
+        """Issue-cycle step per measured record, as plain ints."""
+        return self._decode.issue_steps(self.config.issue_width)
 
     def l2_sets_copy(self) -> List[List[int]]:
         """A fresh mutable copy of the warmed L2 contents."""
@@ -152,8 +168,9 @@ class LoweredCell:
 
     The shared fields (geometry, capacities, latencies, DRAM timing)
     must agree between lanes run together — :meth:`shared_key` is the
-    grouping key; ``policy_kind`` / ``rf_a`` / ``rf_mask`` / ``draws``
-    are the per-lane split, and ``start`` / ``l1_image`` /
+    grouping key; ``policy_kind`` / ``rf_a`` / ``rf_mask`` / ``rng``
+    (the random-fill engine's own RNG, advanced by each run) are the
+    per-lane split, and ``start`` / ``l1_image`` /
     ``l2_image`` / ``dram_state`` / ``bypass`` the lane's carried-in
     state and hooks (see :class:`repro.cpu.lanes.LaneCell`).
     """
@@ -161,7 +178,7 @@ class LoweredCell:
     __slots__ = ("l1_num_sets", "l1_assoc", "l2_hit_latency",
                  "mq_capacity", "fill_reserve", "fill_queue_capacity",
                  "hit_cost", "mlp", "credit", "dram",
-                 "policy_kind", "rf_a", "rf_mask", "draws",
+                 "policy_kind", "rf_a", "rf_mask", "rng",
                  "start", "l1_image", "l2_image", "dram_state", "bypass")
 
     def shared_key(self):
@@ -178,11 +195,8 @@ class LoweredCell:
 
     def lane_cell(self) -> LaneCell:
         """This cell's per-lane kernel inputs."""
-        offsets = None
-        if self.policy_kind == 2:
-            offsets = masked_offsets(self.draws, self.rf_a, self.rf_mask)
-        return LaneCell(self.policy_kind, offsets, start=self.start,
-                        l1=self.l1_image, l2=self.l2_image,
+        return LaneCell(self.policy_kind, self.rng, self.rf_a, self.rf_mask,
+                        start=self.start, l1=self.l1_image, l2=self.l2_image,
                         dram=self.dram_state, bypass=self.bypass)
 
 
@@ -219,20 +233,14 @@ def _build(spec, config):
     return scheme, 0
 
 
-def _lower(spec, config, l2_num_sets, l2_assoc,
-           n_draws: int) -> Optional[LoweredCell]:
-    """Structural eligibility check + parameter extraction.
-
-    ``n_draws == 0`` performs a *dry* lowering (no draw row is
-    pregenerated, leaving the scheme's RNG untouched) — enough for
-    eligibility display; a real run lowers with one draw per trace
-    record.
-    """
+def _lower(spec) -> Optional[LoweredCell]:
+    """Structural eligibility check + parameter extraction."""
     from repro.runner.cells import LANE_KINDS, CellSpec
     from repro.schemes import get_scheme
 
     if not isinstance(spec, CellSpec) or spec.kind not in LANE_KINDS:
         return None
+    config = spec.config
     # Declarative early-out from the scheme registry: schemes not
     # flagged lane_eligible never lower, pow2_window_only schemes skip
     # the build for windows the mask path cannot draw, and schemes
@@ -273,8 +281,8 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
     if type(l2_tag) is not SetAssociativeCache \
             or not (l2_tag._lru_hits and l2_tag._mru_fills
                     and l2_tag._max_victims) \
-            or l2_tag._set_mask + 1 != l2_num_sets \
-            or l2_tag.associativity != l2_assoc:
+            or l2_tag._set_mask + 1 != _l2_num_sets(config) \
+            or l2_tag.associativity != config.l2_assoc:
         return None
     dram = l2.dram
     if type(dram) is not DramModel:
@@ -289,7 +297,7 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
 
     policy_kind = 1
     rf_a = rf_mask = 0
-    draws: Sequence[int] = ()
+    rng = None
     if type(policy) is RandomFillPolicy:
         engine = policy.engine
         rf_window = engine.window_for(_THREAD_ID)
@@ -297,12 +305,12 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
             rf_a, rf_mask, _size = engine._params[_THREAD_ID]
             if rf_mask is None:
                 return None          # non-power-of-two: draw_below path
+            rng = engine._rng
+            # The kernels continue this cell's own stream, one draw per
+            # demand miss; a draw wider than one MT word runs per cell.
+            if type(rng) is not HardwareRng or rng.width > WORD_BITS:
+                return None
             policy_kind = 2
-            # One raw draw per demand miss; one per record is always
-            # enough.  The row comes from this cell's own derived RNG
-            # stream and reproduces scalar draw() bit-exactly.
-            if n_draws:
-                draws = engine._rng.pregenerate(n_draws)
     elif type(policy) not in (DemandFetchPolicy, DisableCachePolicy):
         return None
 
@@ -325,7 +333,7 @@ def _lower(spec, config, l2_num_sets, l2_assoc,
     lowered.policy_kind = policy_kind
     lowered.rf_a = rf_a
     lowered.rf_mask = rf_mask
-    lowered.draws = draws
+    lowered.rng = rng
     lowered.start = start
     lowered.l1_image = _image(tag)
     lowered.l2_image = _image(l2_tag)
@@ -350,25 +358,17 @@ def lower_cell(spec, group: GeneralGroupState) -> Optional[LoweredCell]:
     """
     if spec.config != group.config:
         return None
-    return _lower(spec, spec.config, group.l2_num_sets, group.l2_assoc,
-                  n_draws=len(group.lines))
+    return _lower(spec)
 
 
 def lane_eligible(spec) -> bool:
-    """Would this spec lower onto the kernels?  Structure only, no trace.
+    """Would this spec lower onto the kernels?  No trace is loaded.
 
-    Used by plan displays (``--profile``): the check builds the scheme
-    (cheap) but skips the draw-row pregeneration, so no workload trace
-    is loaded.
+    Used by plan displays (``--profile``): lowering needs only the spec
+    (the scheme build is cheap), so this is :func:`lower_cell` without
+    a group.
     """
-    from repro.runner.cells import LANE_KINDS, CellSpec
-
-    if not isinstance(spec, CellSpec) or spec.kind not in LANE_KINDS:
-        return False
-    config = spec.config
-    l2_num_sets = (config.l2_size // config.line_size) // config.l2_assoc
-    return _lower(spec, config, l2_num_sets, config.l2_assoc,
-                  n_draws=0) is not None
+    return _lower(spec) is not None
 
 
 def run_lowered_cell(group: GeneralGroupState,
@@ -390,7 +390,7 @@ def run_lowered_cell(group: GeneralGroupState,
         fill_queue_capacity=lowered.fill_queue_capacity,
         hit_cost=lowered.hit_cost, mlp=lowered.mlp, credit=lowered.credit,
         policy_kind=lowered.policy_kind, rf_a=lowered.rf_a,
-        rf_mask=lowered.rf_mask, draws=lowered.draws, dram=lowered.dram,
+        rf_mask=lowered.rf_mask, rng=lowered.rng, dram=lowered.dram,
     )
 
 

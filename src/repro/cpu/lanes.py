@@ -1,11 +1,11 @@
 """Lane-parallel kernel: one call advances a whole batch group.
 
-The PR 6 batched path amortizes trace decode and RNG pregeneration
-across a group, but still runs the flat state machine
-(:func:`repro.cpu.timing.run_flat_general`) once per member cell — an
-N-cell group costs N Python interpreter passes over the same columns.
-This module runs all eligible cells of a group as independent *lanes*
-over the shared columns in a single kernel call.
+The batched path amortizes trace decode and the warm-L2 replay across a
+group; the flat state machine
+(:func:`repro.cpu.timing.run_flat_general`) still runs once per member
+cell — an N-cell group costs N Python interpreter passes over the same
+columns.  This module runs all eligible cells of a group as independent
+*lanes* over the shared columns in a single kernel call.
 
 There is one cache loop; scheme differences are small per-lane hooks
 and carried-in state (:class:`LaneCell`), in the spirit of a
@@ -22,12 +22,18 @@ replacement-policy module plugged into one simulator loop:
   miss, charged like a fresh miss with no MSHR stall, and leaves the
   L1, MSHR and fill queue untouched (``L1Controller.access_line``).
 
-numpy prepares the shared column work — the decoded trace is reused
-as-is, the per-record step column is shared, and each lane's
-pregenerated random-fill draw row is masked to fill offsets in one
-vectorized pass (``(draw & mask) - a``, Table II bounds; see
-:func:`masked_offsets`).  The per-record state machine itself runs in
-a small C kernel (``lanes_kernel.c``), compiled once with the host
+The lanes read the decoded trace's int64 line and step columns in
+place.  A random-fill lane carries its cell's own
+:class:`~repro.util.rng.HardwareRng` and draws at each demand miss, the
+one point the paper's datapath uses a random number: the fill offset is
+``(draw & rf_mask) - rf_a`` (Figure 4, Table II bounds), computed there
+and nowhere else, so no draw the run does not use is ever made.  The
+native kernel continues the RNG's MT19937 stream and refill buffer from
+:meth:`~repro.util.rng.HardwareRng.word_state` and hands the advanced
+state back only after a successful call; the Python fallback calls the
+RNG itself.  Either way the RNG ends exactly where scalar ``draw()``
+calls would leave it.  The per-record state machine itself runs in a
+small C kernel (``lanes_kernel.c``), compiled once with the host
 toolchain and loaded through :mod:`ctypes`; results are
 **bit-identical** to the flat kernel (and, for lanes with carried-in
 state or hooks, to the object model the hooks transcribe) because the
@@ -79,6 +85,7 @@ from repro.cpu.timing import (
     SimResult,
     prune_charged,
 )
+from repro.util.rng import WORD_BITS, HardwareRng
 
 #: mirrors :data:`repro.cpu.timing._NEVER` (MissQueue.NEVER)
 _NEVER = 1 << 62
@@ -96,7 +103,16 @@ _NATIVE_MQ_LIMIT = 64
 
 #: the ABI stamp ``lanes_kernel.c`` must export as ``run_lanes_abi``;
 #: a library without it (or with another value) is never called
-LANES_ABI = 2
+LANES_ABI = 3
+
+#: per-lane ``lane_info`` row length (``LANE_INFO`` in ``lanes_kernel.c``)
+_LANE_INFO = 10
+
+#: the kernel's RNG block: 624 MT words, their index, ``32 - width``,
+#: ``buffer_size`` and the buffered count, then the buffer slots
+#: (mirrors ``RNG_*`` in ``lanes_kernel.c``)
+_MT_WORDS = 624
+_RNG_INDEX, _RNG_COUNT, _RNG_HEADER = _MT_WORDS, _MT_WORDS + 3, _MT_WORDS + 4
 
 _native_fn = None
 _native_tried = False
@@ -108,10 +124,11 @@ _native_error: Optional[str] = None
 class LaneCell:
     """Per-lane kernel inputs: the policy split of one lowered cell.
 
-    ``offsets`` is the pregenerated random-fill offset row
-    ``(draw & rf_mask) - rf_a`` as an int64 array (one entry per trace
-    record, masked in one numpy pass from the cell's own derived RNG
-    stream); ``None`` for demand-fetch lanes (``policy_kind`` 1).
+    A random-fill lane (``policy_kind`` 2) carries its cell's own
+    ``rng`` — advanced by one ``draw()`` per demand miss, whichever
+    backend runs the lane — and the window's lower bound ``rf_a`` and
+    power-of-two mask ``rf_mask``; demand-fetch lanes (``policy_kind``
+    1) leave them unset.
 
     The rest is carried-in state, all defaulting to a fresh hierarchy
     whose L2 is the group's: ``start`` is the first cycle; ``l1`` /
@@ -121,16 +138,19 @@ class LaneCell:
     ``bypass`` holds ``(lo, hi)`` line ranges that skip the L1.
     """
 
-    __slots__ = ("policy_kind", "offsets", "start", "l1", "l2", "dram",
-                 "bypass")
+    __slots__ = ("policy_kind", "rng", "rf_a", "rf_mask", "start", "l1",
+                 "l2", "dram", "bypass")
 
     def __init__(self, policy_kind: int,
-                 offsets: Optional[np.ndarray] = None, start: int = 0,
+                 rng: Optional[HardwareRng] = None, rf_a: int = 0,
+                 rf_mask: int = 0, start: int = 0,
                  l1: Optional[Dict] = None, l2: Optional[Dict] = None,
                  dram: Optional[Tuple[Dict, Dict]] = None,
                  bypass: Tuple[Tuple[int, int], ...] = ()):
         self.policy_kind = policy_kind
-        self.offsets = offsets
+        self.rng = rng
+        self.rf_a = rf_a
+        self.rf_mask = rf_mask
         self.start = start
         self.l1 = l1
         self.l2 = l2
@@ -138,14 +158,21 @@ class LaneCell:
         self.bypass = bypass
 
 
-def masked_offsets(draws: Sequence[int], rf_a: int,
-                   rf_mask: int) -> np.ndarray:
-    """One lane's fill-offset row: ``(draw & rf_mask) - rf_a`` vectorized.
-
-    Bit-identical to the flat kernel's per-miss arithmetic: the raw
-    draws are below ``2**width <= 2**32`` so int64 masking is exact.
-    """
-    return (np.asarray(draws, dtype=np.int64) & rf_mask) - rf_a
+def _check_rngs(cells: Sequence[LaneCell]) -> None:
+    """Every random-fill lane needs an RNG of its own that a 32-bit
+    word per draw serves (the native kernel's contract; the Python
+    lanes keep it too, so both backends accept the same lanes)."""
+    seen = set()
+    for cell in cells:
+        if cell.policy_kind != 2:
+            continue
+        rng = cell.rng
+        if type(rng) is not HardwareRng or rng.width > WORD_BITS:
+            raise ValueError("a random-fill lane needs a HardwareRng of "
+                             f"width <= {WORD_BITS}")
+        if id(rng) in seen:
+            raise ValueError("random-fill lanes cannot share an RNG")
+        seen.add(id(rng))
 
 
 _SOURCE = Path(__file__).with_name("lanes_kernel.c")
@@ -241,8 +268,7 @@ def _native():
     ptr = ctypes.POINTER(ctypes.c_int64)
     fn = lib.run_lanes
     fn.restype = ctypes.c_int
-    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr, ptr] + [i64] * 17 \
-        + [ptr]
+    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr] + [i64] * 17 + [ptr]
     _native_fn = fn
     return fn
 
@@ -280,11 +306,28 @@ def _pack_image(image: Dict, num_sets: int, assoc: int) -> np.ndarray:
     return block
 
 
-def _pack_lanes(cells, n_records, l1_geometry, l2_geometry, dram_banks):
-    """The C entry's ``lane_info`` rows, fill-offset rows (random-fill
-    lanes only) and packed ``state`` buffer."""
+def _pack_rng(rng: HardwareRng) -> np.ndarray:
+    """A lane's RNG as the kernel's block (``RNG_*`` in the C source)."""
+    words, index, buffer = rng.word_state()
+    size = rng.buffer_size
+    block = np.zeros(_RNG_HEADER + max(size, len(buffer)), dtype=np.int64)
+    block[:_MT_WORDS] = words
+    block[_RNG_INDEX:_RNG_HEADER] = (index, WORD_BITS - rng.width, size,
+                                     len(buffer))
+    block[_RNG_HEADER:_RNG_HEADER + len(buffer)] = buffer
+    return block
+
+
+def _unpack_rng(rng: HardwareRng, block: np.ndarray) -> None:
+    """Hand the state a lane's draws left in its block back to ``rng``."""
+    count = int(block[_RNG_COUNT])
+    rng.set_word_state(block[:_MT_WORDS].tolist(), int(block[_RNG_INDEX]),
+                       block[_RNG_HEADER:_RNG_HEADER + count].tolist())
+
+
+def _pack_lanes(cells, l1_geometry, l2_geometry, dram_banks):
+    """The C entry's ``lane_info`` rows and packed ``state`` buffer."""
     info: List[int] = []
-    rows: List[np.ndarray] = []
     chunks: List[np.ndarray] = []
     used = 0
 
@@ -295,32 +338,26 @@ def _pack_lanes(cells, n_records, l1_geometry, l2_geometry, dram_banks):
         return used - len(block)
 
     for cell in cells:
-        row = [cell.policy_kind, cell.start, -1, -1, -1, -1, -1, 0]
+        row = [cell.policy_kind, cell.start, -1, cell.rf_a, cell.rf_mask,
+               -1, -1, -1, -1, 0]
         if cell.policy_kind == 2:
-            if cell.offsets is None or len(cell.offsets) > n_records:
-                raise ValueError("a random-fill lane needs at most one "
-                                 "fill offset per trace record")
-            row[2] = len(rows)
-            rows.append(cell.offsets)
+            row[2] = place(_pack_rng(cell.rng))
         if cell.l1 is not None:
-            row[3] = place(_pack_image(cell.l1, *l1_geometry))
+            row[5] = place(_pack_image(cell.l1, *l1_geometry))
         if cell.l2 is not None:
-            row[4] = place(_pack_image(cell.l2, *l2_geometry))
+            row[6] = place(_pack_image(cell.l2, *l2_geometry))
         if cell.dram is not None:
             open_row, bank_free = cell.dram
-            row[5] = place(np.array(
+            row[7] = place(np.array(
                 [open_row.get(b, -1) for b in range(dram_banks)]
                 + [bank_free.get(b, 0) for b in range(dram_banks)],
                 dtype=np.int64))
         if cell.bypass:
-            row[6] = place(np.array(cell.bypass, dtype=np.int64).ravel())
-            row[7] = len(cell.bypass)
+            row[8] = place(np.array(cell.bypass, dtype=np.int64).ravel())
+            row[9] = len(cell.bypass)
         info += row
-    offsets = np.zeros((max(1, len(rows)), n_records), dtype=np.int64)
-    for i, offset_row in enumerate(rows):
-        offsets[i, :len(offset_row)] = offset_row
     state = np.concatenate(chunks) if chunks else np.zeros(1, np.int64)
-    return np.asarray(info, dtype=np.int64), offsets, state
+    return np.asarray(info, dtype=np.int64), state
 
 
 def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
@@ -333,23 +370,25 @@ def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
     steps = np.ascontiguousarray(steps_l, dtype=np.int64)
     if len(steps) != n_records:
         raise ValueError("lines and steps columns differ in length")
-    info, offsets, state = _pack_lanes(
-        cells, n_records, (l1_num_sets, l1_assoc), (l2_num_sets, l2_assoc),
-        dram[1])
+    info, state = _pack_lanes(
+        cells, (l1_num_sets, l1_assoc), (l2_num_sets, l2_assoc), dram[1])
     template = np.full(l2_num_sets * l2_assoc, -1, dtype=np.int64)
     for s, ways in enumerate(l2_sets):
         if ways:
             template[s * l2_assoc:s * l2_assoc + len(ways)] = ways
     out = np.zeros(n_lanes * 7, dtype=np.int64)
     rc = fn(n_records, _as_ptr(lines), _as_ptr(steps),
-            n_lanes, _as_ptr(info), _as_ptr(offsets), _as_ptr(template),
+            n_lanes, _as_ptr(info), _as_ptr(template),
             _as_ptr(state), l1_num_sets, l1_assoc, l2_num_sets, l2_assoc,
             l2_hit_latency, mq_capacity, fill_reserve,
             fill_queue_capacity, hit_cost, mlp, credit,
             dram[0], dram[1], dram[2], dram[3], dram[4], dram[5],
             _as_ptr(out))
     if rc != 0:
-        return None
+        return None          # every RNG untouched: the caller falls back
+    for l, cell in enumerate(cells):
+        if cell.policy_kind == 2:
+            _unpack_rng(cell.rng, state[info[l * _LANE_INFO + 2]:])
     return [
         SimResult(
             instructions=instructions,
@@ -378,7 +417,7 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                      l1_assoc, l2_sets, l2_num_sets, l2_assoc,
                      l2_hit_latency, mq_capacity, fill_reserve,
                      fill_queue_capacity, hit_cost, mlp, credit,
-                     cell, offsets, dram) -> SimResult:
+                     cell, dram) -> SimResult:
     """One lane's trace pass — the tuned Python fallback.
 
     A transcription of :func:`run_flat_general` with faster but
@@ -389,17 +428,21 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
     ordered heap whose ``(completion, seq)`` order reproduces the flat
     kernel's stable completion sort, the step column arrives fused with
     the per-record ``hit_cost`` (every flat branch adds exactly one),
-    fill offsets are premasked, and a ``steady`` set marks lines whose
-    charge already equals their in-flight completion so a repeat merge
-    retires in one membership test (after the drain check, surviving
-    entries complete strictly after ``now``, so such a merge adds
-    exactly the already-fused ``hit_cost``).
+    and a ``steady`` set marks lines whose charge already equals their
+    in-flight completion so a repeat merge retires in one membership
+    test (after the drain check, surviving entries complete strictly
+    after ``now``, so such a merge adds exactly the already-fused
+    ``hit_cost``).  A random-fill miss calls the cell's ``draw()``
+    where the flat and native kernels draw.
     """
     from heapq import heappop, heappush
 
     (dram_lines_per_row, dram_banks, dram_hit_latency, dram_miss_latency,
      dram_hit_busy, dram_miss_busy) = dram
     policy_kind = cell.policy_kind
+    rf_a = cell.rf_a
+    rf_mask = cell.rf_mask
+    draw = cell.rng.draw if policy_kind == 2 else None
     l1_set_mask = l1_num_sets - 1
     l2_set_mask = l2_num_sets - 1
     l1_sets = _ordered_sets(l1_num_sets, cell.l1)
@@ -435,7 +478,6 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
     rf_issued = 0
     hits = 0
     demand_misses = 0
-    off_i = 0
     nc = _NEVER
     ncx = _NEVER                  # nc + hit_cost, in fused-clock terms
     fills_blocked = False
@@ -609,8 +651,7 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                 nc = complete_at
                 ncx = nc + hit_cost
             fills_blocked = False
-            fill_line = line + offsets[off_i]
-            off_i += 1
+            fill_line = line + (draw() & rf_mask) - rf_a
             if fill_queue:
                 # Parked requests are older; preserve FIFO order.
                 if fill_line >= 0 and len(fill_queue) < fill_queue_capacity:
@@ -728,6 +769,7 @@ def run_lanes_general(lines_l, steps_l, instructions,
     n_lanes = len(cells)
     if n_lanes == 0:
         return []
+    _check_rngs(cells)
     used = "python"
     results = None
     if backend != "python" and mq_capacity <= _NATIVE_MQ_LIMIT:
@@ -751,15 +793,14 @@ def run_lanes_general(lines_l, steps_l, instructions,
             lines_l = lines_l.tolist()
         steps_plus = (np.asarray(steps_l, dtype=np.int64)
                       + hit_cost).tolist()
-        results = []
-        for cell in cells:
-            offsets = (cell.offsets.tolist()
-                       if cell.offsets is not None else ())
-            results.append(_run_lane_python(
+        results = [
+            _run_lane_python(
                 lines_l, steps_plus, instructions, l1_num_sets, l1_assoc,
                 l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
                 mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cell, offsets, dram))
+                mlp, credit, cell, dram)
+            for cell in cells
+        ]
     LAST_STATS.clear()
     LAST_STATS.update(records=len(lines_l), lanes=n_lanes, backend=used)
     return results

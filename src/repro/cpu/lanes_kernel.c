@@ -9,6 +9,13 @@
  * every way is locked) and an L1-bypass line predicate (the
  * disable-cache scheme: L1Controller.access_line's bypass branch).
  *
+ * A random-fill lane also carries its HardwareRng in (repro/util/rng.py):
+ * CPython's MT19937 words and index plus the ahead-of-time buffer.  The
+ * kernel draws at each demand miss exactly as HardwareRng.draw() does
+ * — pop from the end of the buffer, refilling buffer_size values of
+ * genrand_uint32() >> (32 - width) when it is empty — and leaves the
+ * advanced state in the lane's block for the caller to hand back.
+ *
  * The transcription is branch-for-branch: the MissQueue drain order
  * (stable completion sort on insertion order), the fill-queue
  * drop/merge rules, the MSHR-full stall, the MLP charge table with its
@@ -29,17 +36,34 @@
 
 /* ABI stamp checked by repro/cpu/lanes.py before it binds run_lanes:
  * bump on any change to run_lanes' arguments or their layout. */
-const int64_t run_lanes_abi = 2;
+const int64_t run_lanes_abi = 3;
 
 #define RT_NORMAL 0
 #define RT_NOFILL 1
 #define RT_RANDOM_FILL 2
 
-/* per-lane lane_info row: policy_kind, start cycle, the lane's row of
- * fill offsets (random-fill lanes only), then offsets into the state
- * buffer (-1 = default) of the L1 image, the L2 image and the DRAM
- * state, then the bypass ranges' offset and pair count */
-#define LANE_INFO 8
+/* per-lane lane_info row: policy_kind, start cycle, the offset into
+ * the state buffer of the lane's RNG block (random-fill lanes only),
+ * the window's rf_a and rf_mask, then offsets into the state buffer
+ * (-1 = default) of the L1 image, the L2 image and the DRAM state, then
+ * the bypass ranges' offset and pair count */
+#define LANE_INFO 10
+
+/* CPython's MT19937 (Modules/_randommodule.c) */
+#define MT_N 624
+#define MT_M 397
+#define MT_MATRIX_A 0x9908b0dfU
+#define MT_UPPER_MASK 0x80000000U
+#define MT_LOWER_MASK 0x7fffffffU
+
+/* RNG block layout in the state buffer: MT_N words, the MT index,
+ * 32 - width, buffer_size, the buffered count, then the buffer slots
+ * (the count's values in list order; HardwareRng.draw pops the last) */
+#define RNG_INDEX MT_N
+#define RNG_SHIFT (MT_N + 1)
+#define RNG_SIZE (MT_N + 2)
+#define RNG_COUNT (MT_N + 3)
+#define RNG_BUF (MT_N + 4)
 
 /* mirrors MissQueue.NEVER */
 #define NEVER (((int64_t)1) << 62)
@@ -127,6 +151,12 @@ typedef struct {
     int64_t *l1_lock, *l2_lock; /* per-way lock bits; NULL = none set */
     const int64_t *bypass;      /* [lo, hi) line ranges skipping the L1 */
     int64_t n_bypass;
+    /* random-fill window and the lane's own RNG (per call, never
+     * static: callers release the GIL and may run on several threads) */
+    int64_t rf_a, rf_mask;
+    uint32_t mt[MT_N];
+    int64_t mt_index, rng_shift, rng_size, rng_count;
+    int64_t *rng_buf;
     int64_t *mq_line, *mq_complete, *mq_type;   /* insertion order */
     int64_t mq_n;
     int64_t *fq;                /* ring buffer */
@@ -224,6 +254,48 @@ static inline int bypassed(const Lane *ln, int64_t line)
         if (line >= ln->bypass[2 * i] && line < ln->bypass[2 * i + 1])
             return 1;
     return 0;
+}
+
+/* genrand_uint32: the next tempered MT19937 word */
+static uint32_t mt_next(Lane *ln)
+{
+    static const uint32_t mag01[2] = {0x0U, MT_MATRIX_A};
+    uint32_t *mt = ln->mt;
+    uint32_t y;
+    int kk;
+    if (ln->mt_index >= MT_N) {
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & MT_UPPER_MASK) | (mt[kk + 1] & MT_LOWER_MASK);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & MT_UPPER_MASK) | (mt[kk + 1] & MT_LOWER_MASK);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & MT_UPPER_MASK) | (mt[0] & MT_LOWER_MASK);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        ln->mt_index = 0;
+    }
+    y = mt[ln->mt_index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* HardwareRng.draw: pop the buffer's last value; an empty buffer first
+ * refills rng_size values of getrandbits(width), so each refill comes
+ * out reversed */
+static inline int64_t rng_draw(Lane *ln)
+{
+    int64_t j;
+    if (ln->rng_count == 0) {
+        for (j = 0; j < ln->rng_size; j++)
+            ln->rng_buf[j] = mt_next(ln) >> ln->rng_shift;
+        ln->rng_count = ln->rng_size;
+    }
+    return ln->rng_buf[--ln->rng_count];
 }
 
 /* L2Cache.access with DramModel.access inlined */
@@ -356,10 +428,9 @@ static void issue_fills(Lane *ln, int64_t at)
 
 /* one lane's full trace pass from cycle ``now``; returns 0 on success */
 static int run_one_lane(Lane *ln, const int64_t *steps, int64_t now,
-                        int64_t policy_kind, const int64_t *offsets,
-                        int64_t *out)
+                        int64_t policy_kind, int64_t *out)
 {
-    int64_t off_i = 0, i;
+    int64_t i;
     const int64_t *lines = ln->lines;
     for (i = 0; i < ln->n_records; i++) {
         int64_t line = lines[i];
@@ -438,8 +509,7 @@ static int run_one_lane(Lane *ln, const int64_t *steps, int64_t now,
             complete_at = l2_access(ln, line, access_now);
             mq_put(ln, line, complete_at, RT_NOFILL);
             ln->fills_blocked = 0;
-            fill_line = line + offsets[off_i];
-            off_i++;
+            fill_line = line + (rng_draw(ln) & ln->rf_mask) - ln->rf_a;
             if (ln->fq_n > 0) {
                 /* parked requests are older; preserve FIFO order */
                 if (fill_line >= 0 && ln->fq_n < ln->fill_queue_capacity)
@@ -540,17 +610,17 @@ static int64_t *load_image(int64_t *ways, int64_t *locks, int64_t n,
  * bits, the DRAM state is dram_banks open rows (-1 = none) followed by
  * dram_banks bank-free cycles, and bypass ranges are [lo, hi) pairs.
  * Lanes without an L1 image start empty, without an L2 image from
- * l2_template (the group's warmed L2), without DRAM state idle.
- * offsets holds one row of n_records pregenerated fill offsets per
- * random-fill lane; out receives 7 values
- * per lane: cycles, hits, demand_misses, l2_accesses, l2_misses,
- * memory_lines, rf_issued.  Returns 0 on success, -1 on allocation
- * failure. */
+ * l2_template (the group's warmed L2), without DRAM state idle.  A
+ * random-fill lane's RNG block (RNG_* layout) is advanced in place:
+ * after the call it holds the words, index and buffer remainder that
+ * the lane's draws left.  out receives 7 values per lane: cycles,
+ * hits, demand_misses, l2_accesses, l2_misses, memory_lines,
+ * rf_issued.  Returns 0 on success, -1 on allocation failure, -2 when
+ * mq_capacity exceeds the drain scratch bound. */
 int run_lanes(int64_t n_records, const int64_t *lines,
               const int64_t *steps,
               int64_t n_lanes, const int64_t *lane_info,
-              const int64_t *offsets, const int64_t *l2_template,
-              const int64_t *state,
+              const int64_t *l2_template, int64_t *state,
               int64_t l1_num_sets, int64_t l1_assoc,
               int64_t l2_num_sets, int64_t l2_assoc,
               int64_t l2_hit_latency, int64_t mq_capacity,
@@ -561,7 +631,7 @@ int run_lanes(int64_t n_records, const int64_t *lines,
               int64_t dram_hit_busy, int64_t dram_miss_busy,
               int64_t *out)
 {
-    int64_t lane;
+    int64_t lane, i;
     int rc = 0;
     Lane ln;
     int64_t fq_cap = fill_queue_capacity + 1;
@@ -612,23 +682,35 @@ int run_lanes(int64_t n_records, const int64_t *lines,
 
     for (lane = 0; lane < n_lanes; lane++) {
         const int64_t *info = lane_info + lane * LANE_INFO;
+        int64_t *rng = info[2] >= 0 ? state + info[2] : NULL;
+        if (rng) {
+            for (i = 0; i < MT_N; i++)
+                ln.mt[i] = (uint32_t)rng[i];
+            ln.mt_index = rng[RNG_INDEX];
+            ln.rng_shift = rng[RNG_SHIFT];
+            ln.rng_size = rng[RNG_SIZE];
+            ln.rng_count = rng[RNG_COUNT];
+            ln.rng_buf = rng + RNG_BUF;
+        }
+        ln.rf_a = info[3];
+        ln.rf_mask = info[4];
         ln.l1_lock = load_image(ln.l1, l1_lock, l1_n,
-                                info[3] >= 0 ? state + info[3] : NULL,
+                                info[5] >= 0 ? state + info[5] : NULL,
                                 NULL);
         ln.l2_lock = load_image(ln.l2, l2_lock, l2_n,
-                                info[4] >= 0 ? state + info[4] : NULL,
+                                info[6] >= 0 ? state + info[6] : NULL,
                                 l2_template);
-        if (info[5] >= 0) {
-            memcpy(ln.open_row, state + info[5],
+        if (info[7] >= 0) {
+            memcpy(ln.open_row, state + info[7],
                    dram_banks * sizeof(int64_t));
-            memcpy(ln.bank_free, state + info[5] + dram_banks,
+            memcpy(ln.bank_free, state + info[7] + dram_banks,
                    dram_banks * sizeof(int64_t));
         } else {
             memset(ln.open_row, 0xff, dram_banks * sizeof(int64_t));
             memset(ln.bank_free, 0, dram_banks * sizeof(int64_t));
         }
-        ln.bypass = info[6] >= 0 ? state + info[6] : NULL;
-        ln.n_bypass = info[6] >= 0 ? info[7] : 0;
+        ln.bypass = info[8] >= 0 ? state + info[8] : NULL;
+        ln.n_bypass = info[8] >= 0 ? info[9] : 0;
         ch_clear(ln.charged);
         ln.mq_n = 0;
         ln.fq_head = 0;
@@ -641,12 +723,15 @@ int run_lanes(int64_t n_records, const int64_t *lines,
         ln.l2_misses = 0;
         ln.memory_lines = 0;
         ln.rf_issued = 0;
-        rc = run_one_lane(&ln, steps, info[1], info[0],
-                          info[2] >= 0 ? offsets + info[2] * n_records
-                                       : NULL,
-                          out + lane * 7);
+        rc = run_one_lane(&ln, steps, info[1], info[0], out + lane * 7);
         if (rc != 0)
             goto done;
+        if (rng) {
+            for (i = 0; i < MT_N; i++)
+                rng[i] = ln.mt[i];
+            rng[RNG_INDEX] = ln.mt_index;
+            rng[RNG_COUNT] = ln.rng_count;
+        }
     }
 
 done:

@@ -125,12 +125,12 @@ def run_flat_general(lines_l, steps_l, instructions,
                      l1_num_sets, l1_assoc, l2_sets, l2_num_sets, l2_assoc,
                      l2_hit_latency, mq_capacity, fill_reserve,
                      fill_queue_capacity, hit_cost, mlp, credit,
-                     policy_kind, rf_a, rf_mask, draws, dram) -> SimResult:
+                     policy_kind, rf_a, rf_mask, rng, dram) -> SimResult:
     """Self-contained flat kernel for the stock SA/LRU configuration.
 
     The batched runner (:mod:`repro.cpu.batch`) lowers an eligible
     scheme to plain values — int-list cache sets, a dict MSHR, inlined
-    L2/DRAM timing, and a pregenerated random-fill draw row — and runs
+    L2/DRAM timing, and the random-fill engine's own RNG — and runs
     the measured trace here.  The per-access state machine transcribes
     ``TimingModel._run_columnar_fused`` exactly (including the settle
     phase and the drop/merge rules of the fill queue), so results are
@@ -142,9 +142,10 @@ def run_flat_general(lines_l, steps_l, instructions,
     ``l2_sets`` is owned (and mutated) by the kernel — callers pass a
     per-cell copy of any shared warm state.  ``policy_kind`` follows
     the fused kernel: 1 is a plain demand fill, 2 the random-fill
-    window with power-of-two mask ``rf_mask`` and lower bound ``rf_a``;
-    ``draws`` must then hold at least one raw RNG value per demand
-    miss (one per trace record is always enough).  ``dram`` is the
+    window with power-of-two mask ``rf_mask`` and lower bound ``rf_a``,
+    drawing once per demand miss from ``rng`` (a
+    :class:`~repro.util.rng.HardwareRng`, advanced in place exactly as
+    the fused kernel advances it).  ``dram`` is the
     ``(lines_per_row, banks, hit_latency, miss_latency, hit_busy,
     miss_busy)`` timing tuple of the open-page model.
     """
@@ -169,7 +170,7 @@ def run_flat_general(lines_l, steps_l, instructions,
     rf_issued = 0
     hits = 0
     demand_misses = 0
-    draw_i = 0
+    draw = rng.draw if policy_kind == 2 else None
     nc = _NEVER
     fills_blocked = False
 
@@ -318,8 +319,7 @@ def run_flat_general(lines_l, steps_l, instructions,
             if complete_at < nc:
                 nc = complete_at
             fills_blocked = False
-            fill_line = line + (draws[draw_i] & rf_mask) - rf_a
-            draw_i += 1
+            fill_line = line + (draw() & rf_mask) - rf_a
             if fill_queue:
                 # Parked requests are older; preserve FIFO order.
                 if fill_line >= 0 and len(fill_queue) < fill_queue_capacity:

@@ -1,85 +1,62 @@
 """Experiment harness: one runner per table/figure of the paper."""
 
-from repro.experiments.config import (
-    BASELINE_CONFIG,
-    SimulatorConfig,
-    bench_scale,
-    scaled,
-)
-from repro.experiments.perf_concurrent import (
-    FIGURE8_CONFIGS,
-    FIGURE8_SCHEMES,
-    FIGURE8_WINDOW,
-    ConcurrentPoint,
-    figure8,
-    run_concurrent,
-)
-from repro.experiments.perf_crypto import (
-    FIGURE6_ASSOCS,
-    FIGURE6_SCHEMES,
-    FIGURE6_SIZES,
-    FIGURE6_WINDOW,
-    CryptoPerfPoint,
-    figure6,
-    figure7,
-    make_cbc_trace,
-    run_crypto_workload,
-)
-from repro.experiments.perf_general import (
-    FIGURE10_ORDER,
-    FIGURE10_WINDOWS,
-    GeneralPerfPoint,
-    figure9,
-    figure10,
-    prefetcher_comparison,
-    run_general_workload,
-    window_label,
-)
-from repro.experiments.schemes import SCHEME_NAMES, Scheme, build_scheme
-from repro.experiments.security import (
-    TABLE3_WINDOW_SIZES,
-    Figure2Result,
-    Table3Row,
-    build_attack_victim,
-    figure2,
-    table3,
-)
+import importlib
 
-__all__ = [
-    "BASELINE_CONFIG",
-    "ConcurrentPoint",
-    "CryptoPerfPoint",
-    "FIGURE10_ORDER",
-    "FIGURE10_WINDOWS",
-    "FIGURE6_ASSOCS",
-    "FIGURE6_SCHEMES",
-    "FIGURE6_SIZES",
-    "FIGURE6_WINDOW",
-    "FIGURE8_CONFIGS",
-    "FIGURE8_SCHEMES",
-    "FIGURE8_WINDOW",
-    "Figure2Result",
-    "GeneralPerfPoint",
-    "SCHEME_NAMES",
-    "Scheme",
-    "SimulatorConfig",
-    "TABLE3_WINDOW_SIZES",
-    "Table3Row",
-    "bench_scale",
-    "build_attack_victim",
-    "build_scheme",
-    "figure10",
-    "figure2",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "make_cbc_trace",
-    "prefetcher_comparison",
-    "run_concurrent",
-    "run_crypto_workload",
-    "run_general_workload",
-    "scaled",
-    "table3",
-    "window_label",
-]
+#: re-exported name -> defining module, resolved on first access (PEP
+#: 562): the runner imports ``repro.experiments.config`` while these
+#: modules import the runner, so the package must not load them
+#: eagerly.
+_EXPORTS = {
+    "BASELINE_CONFIG": "repro.experiments.config",
+    "ConcurrentPoint": "repro.experiments.perf_concurrent",
+    "CryptoPerfPoint": "repro.experiments.perf_crypto",
+    "FIGURE10_ORDER": "repro.experiments.perf_general",
+    "FIGURE10_WINDOWS": "repro.experiments.perf_general",
+    "FIGURE6_ASSOCS": "repro.experiments.perf_crypto",
+    "FIGURE6_SCHEMES": "repro.experiments.perf_crypto",
+    "FIGURE6_SIZES": "repro.experiments.perf_crypto",
+    "FIGURE6_WINDOW": "repro.experiments.perf_crypto",
+    "FIGURE8_CONFIGS": "repro.experiments.perf_concurrent",
+    "FIGURE8_SCHEMES": "repro.experiments.perf_concurrent",
+    "FIGURE8_WINDOW": "repro.experiments.perf_concurrent",
+    "Figure2Result": "repro.experiments.security",
+    "GeneralPerfPoint": "repro.experiments.perf_general",
+    "SCHEME_NAMES": "repro.experiments.schemes",
+    "Scheme": "repro.experiments.schemes",
+    "SimulatorConfig": "repro.experiments.config",
+    "TABLE3_WINDOW_SIZES": "repro.experiments.security",
+    "Table3Row": "repro.experiments.security",
+    "bench_scale": "repro.experiments.config",
+    "build_attack_victim": "repro.experiments.security",
+    "build_scheme": "repro.experiments.schemes",
+    "figure10": "repro.experiments.perf_general",
+    "figure2": "repro.experiments.security",
+    "figure6": "repro.experiments.perf_crypto",
+    "figure7": "repro.experiments.perf_crypto",
+    "figure8": "repro.experiments.perf_concurrent",
+    "figure9": "repro.experiments.perf_general",
+    "make_cbc_trace": "repro.experiments.perf_crypto",
+    "prefetcher_comparison": "repro.experiments.perf_general",
+    "run_concurrent": "repro.experiments.perf_concurrent",
+    "run_crypto_workload": "repro.experiments.perf_crypto",
+    "run_general_workload": "repro.experiments.perf_general",
+    "scaled": "repro.experiments.config",
+    "table3": "repro.experiments.security",
+    "window_label": "repro.experiments.perf_general",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.experiments' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -346,6 +346,9 @@ def run_leakage_sweep(
     ``--telemetry`` (and ``--batch/--no-batch``) CLI flags reach this
     sweep.
     """
+    # Load the attack code in this process: pool workers fork from it,
+    # and would otherwise each import it again on every sweep.
+    import repro.attacks.flush_reload  # noqa: F401
     from repro.runner.pool import run_cells
 
     return run_cells(specs, jobs=jobs, telemetry=telemetry, progress=progress, batch=batch)

@@ -10,12 +10,24 @@ is uniform over ``[0, 2**width)``, which holds for any good PRNG.
 number can be generated ahead of time and buffered"): numbers are produced
 in batches so a draw is a constant-time pop, mirroring the fact that RNG
 latency is off the processor's critical path.
+
+The stream is CPython's MT19937 (``random.Random``).  The lane kernel
+(:mod:`repro.cpu.lanes`) draws from it at each demand miss without a
+Python call: it takes :meth:`HardwareRng.word_state`, runs the same
+generator and refill/pop order in C, and hands the advanced state back
+through :meth:`HardwareRng.set_word_state`, so later ``draw()`` calls
+continue exactly where scalar draws would have left the stream.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Sequence, Tuple
+
+#: widest draw one 32-bit Mersenne Twister word supplies; a wider
+#: ``getrandbits`` call spends several words per value, and such RNGs
+#: are not continued outside Python
+WORD_BITS = 32
 
 
 def derive_seed(base_seed: int, *components: object) -> int:
@@ -60,6 +72,11 @@ class HardwareRng:
         self._buffer_size = buffer_size
         self._buffer: List[int] = []
 
+    @property
+    def buffer_size(self) -> int:
+        """Values generated per refill of the ahead-of-time buffer."""
+        return self._buffer_size
+
     def _refill(self) -> None:
         rand = self._rng.getrandbits
         width = self.width
@@ -75,90 +92,30 @@ class HardwareRng:
             self._refill()
         return self._buffer.pop()
 
-    def pregenerate(self, count: int) -> List[int]:
-        """The next ``count`` values of the :meth:`draw` stream, at once.
+    def word_state(self) -> Tuple[Tuple[int, ...], int, List[int]]:
+        """``(words, index, buffer)``: where the :meth:`draw` stream stands.
 
-        Bit-identical to ``[self.draw() for _ in range(count)]``,
-        including the state left behind: the underlying PRNG advances by
-        the same number of words and the buffer holds the unconsumed
-        remainder of the last refill, so interleaving ``pregenerate``
-        and ``draw`` calls produces the same stream as ``draw`` alone.
-
-        The batched runner uses this to turn the per-miss ``draw()``
-        calls of a whole cell into one vectorized row: ``getrandbits``
-        consumes exactly one 32-bit Mersenne Twister word per call for
-        widths <= 32, so the words are produced by numpy's MT19937 from
-        a transplanted state and shifted down to ``width`` bits.  Wider
-        RNGs (none in the paper's 8-bit datapath) and exotic PRNG states
-        fall back to the scalar refill loop.
+        ``words`` and ``index`` are the Mersenne Twister's 624 state
+        words and position exactly as ``random.Random.getstate`` holds
+        them; ``buffer`` copies the unconsumed values in list order
+        (:meth:`draw` pops from the end).  For widths up to 32 each
+        refilled value is one 32-bit word ``genrand_uint32() >> (32 -
+        width)`` — what ``getrandbits(width)`` returns on CPython — so
+        this is all a kernel needs to continue the stream natively.
         """
-        if count <= 0:
-            return []
-        taken: List[int] = []
-        buffer = self._buffer
-        while buffer and len(taken) < count:
-            taken.append(buffer.pop())
-        need = count - len(taken)
-        if need == 0:
-            return taken
-        chunk = self._buffer_size
-        refills = -(-need // chunk)
-        values = self._bulk_values(refills * chunk)
-        taken.extend(values[:need])
-        # Unconsumed tail of the final refill, restored so pop() yields
-        # it in the same order scalar draws would.
-        buffer.extend(reversed(values[need:]))
-        return taken
+        _version, internal, _gauss_next = self._rng.getstate()
+        return internal[:-1], internal[-1], list(self._buffer)
 
-    def _bulk_values(self, total: int) -> List[int]:
-        """``total`` draw-stream values (a whole number of refills).
+    def set_word_state(self, words: Sequence[int], index: int,
+                       buffer: Sequence[int]) -> None:
+        """Resume the stream from a :meth:`word_state` a kernel advanced.
 
-        Each refill appends ``buffer_size`` words and ``draw`` pops from
-        the end, so the consumed order is each chunk reversed.
+        The buffer is replaced in place: hot loops may hold a reference
+        to the list (see :meth:`_refill`).
         """
-        width = self.width
-        if width <= 32:
-            values = self._numpy_words(total)
-            if values is not None:
-                shift = 32 - width
-                return (values.reshape(-1, self._buffer_size)[:, ::-1]
-                        >> shift).ravel().tolist()
-        rand = self._rng.getrandbits
-        chunk = self._buffer_size
-        out: List[int] = []
-        for _ in range(total // chunk):
-            out.extend([rand(width) for _ in range(chunk)][::-1])
-        return out
-
-    def _numpy_words(self, total: int):
-        """``total`` raw 32-bit MT words via numpy, advancing ``_rng``.
-
-        Returns ``None`` when the stdlib PRNG state is not the plain
-        624-word Mersenne Twister layout (e.g. a subclassed Random).
-        """
-        try:
-            import numpy as np
-        except ImportError:                    # pragma: no cover
-            return None
-        try:
-            version, internal, gauss_next = self._rng.getstate()
-        except (TypeError, ValueError):        # pragma: no cover
-            return None
-        if version != 3 or len(internal) != 625:
-            return None
-        bit_generator = np.random.MT19937()
-        bit_generator.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": np.asarray(internal[:-1], dtype=np.uint64),
-                      "pos": internal[-1]},
-        }
-        words = bit_generator.random_raw(total)
-        state = bit_generator.state["state"]
-        self._rng.setstate((version,
-                            tuple(int(word) for word in state["key"])
-                            + (int(state["pos"]),),
-                            gauss_next))
-        return words
+        version, _internal, gauss_next = self._rng.getstate()
+        self._rng.setstate((version, tuple(words) + (index,), gauss_next))
+        self._buffer[:] = buffer
 
     def draw_masked(self, mask: int) -> int:
         """Return ``draw() & mask`` — the bounded value R' of Figure 4."""

@@ -11,12 +11,19 @@ backend and the pure-Python fallback.  Crypto cells (Figures 6 and 7)
 compare against the per-cell object-model path (:func:`run_cell`):
 their lanes carry the PLcache preload's state and lock bits and the
 disable-cache bypass, which the flat kernel does not model.
+
+A random-fill lane draws from its cell's own RNG at each demand miss,
+so a run advances the lowered cell's RNG: every run below lowers its
+cells afresh, and :class:`TestInKernelDraws` pins the RNG state each
+kernel leaves behind.
 """
 
+import copy
 import os
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +31,9 @@ from hypothesis import strategies as st
 from repro.core.window import RandomFillWindow
 from repro.cpu import lanes as lanes_mod
 from repro.cpu.batch import (
+    GeneralGroupState,
     group_state_for,
+    lane_eligible,
     lower_cell,
     run_lane_cells,
     run_lowered_cell,
@@ -34,9 +43,12 @@ from repro.cpu.lanes import (
     native_available,
     run_lanes_general,
 )
+from repro.cpu.trace import Trace
 from repro.experiments.config import BASELINE_CONFIG
 from repro.experiments.perf_crypto import FIGURE6_SCHEMES
+from repro.experiments.perf_general import run_general_workload
 from repro.runner.cells import CellSpec, run_cell
+from repro.util.rng import HardwareRng
 
 #: pow2 windows the kernels cover, plus demand fetch; the (2, 2)
 #: window is non-power-of-two and must fail lowering (fallback path)
@@ -76,7 +88,8 @@ def _crypto_lanes(specs, backend):
 
 
 def _group(benchmark, windows, warm, seed, n_refs=1200):
-    """Build one batch group: shared state + lowered eligible cells."""
+    """Build one batch group: shared state + a function that lowers its
+    cells afresh (a run advances each lowered cell's RNG)."""
     specs = [CellSpec(kind="general", benchmark=benchmark,
                       scheme="random_fill", window=window, n_refs=n_refs,
                       seed=seed, warm=warm)
@@ -85,8 +98,7 @@ def _group(benchmark, windows, warm, seed, n_refs=1200):
                        scheme="baseline", window=(0, 0), n_refs=n_refs,
                        seed=seed, warm=warm)]
     shared = group_state_for(specs[0])
-    lowered = [lower_cell(spec, shared) for spec in specs]
-    return shared, lowered
+    return shared, lambda: [lower_cell(spec, shared) for spec in specs]
 
 
 def _run_lanes(shared, lowered, backend):
@@ -113,10 +125,11 @@ class TestLaneIdentity:
            benchmark=st.sampled_from(("astar", "lbm")))
     def test_matches_scalar_flat_kernel(self, backend, windows, warm,
                                         seed, benchmark):
-        shared, lowered = _group(benchmark, windows, warm, seed)
+        shared, lower = _group(benchmark, windows, warm, seed)
+        lowered = lower()
         assert all(lc is not None for lc in lowered)
         scalar = [run_lowered_cell(shared, lc) for lc in lowered]
-        laned = _run_lanes(shared, lowered, backend)
+        laned = _run_lanes(shared, lower(), backend)
         assert laned == scalar
         assert lanes_mod.LAST_STATS["backend"] == backend
         assert lanes_mod.LAST_STATS["lanes"] == len(lowered)
@@ -124,19 +137,27 @@ class TestLaneIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n_lanes", [1, 2, 3, 7])
     def test_lane_count_never_changes_results(self, backend, n_lanes):
-        # The same cell replicated N times must produce N identical
+        # The same cell lowered N times must produce N identical
         # results, each equal to its scalar run — lanes share read-only
         # columns but no mutable state.
-        shared, lowered = _group("astar", ((4, 3),), warm=False, seed=1)
-        scalar = run_lowered_cell(shared, lowered[0])
-        laned = _run_lanes(shared, lowered[:1] * n_lanes, backend)
+        shared, lower = _group("astar", ((4, 3),), warm=False, seed=1)
+        scalar = run_lowered_cell(shared, lower()[0])
+        laned = _run_lanes(shared, [lower()[0] for _ in range(n_lanes)],
+                           backend)
         assert laned == [scalar] * n_lanes
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_lanes_cannot_share_an_rng(self, backend):
+        shared, lower = _group("astar", ((4, 3),), warm=False, seed=1)
+        lowered = lower()[0]
+        with pytest.raises(ValueError, match="share an RNG"):
+            _run_lanes(shared, [lowered, lowered], backend)
 
     @pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on host")
     def test_backends_agree(self):
-        shared, lowered = _group("lbm", POW2_WINDOWS, warm=True, seed=2)
-        assert _run_lanes(shared, lowered, "python") == \
-            _run_lanes(shared, lowered, "native")
+        shared, lower = _group("lbm", POW2_WINDOWS, warm=True, seed=2)
+        assert _run_lanes(shared, lower(), "python") == \
+            _run_lanes(shared, lower(), "native")
 
     def test_mixed_group_fallback_cells_stay_scalar(self):
         # A (2, 2) window is not a power of two: it must fail lowering
@@ -150,9 +171,11 @@ class TestLaneIdentity:
         shared = group_state_for(specs[0])
         lowered = [lower_cell(spec, shared) for spec in specs]
         assert [lc is not None for lc in lowered] == [True, False, True]
-        eligible = [lc for lc in lowered if lc is not None]
-        laned = run_lane_cells(shared, eligible)
-        assert laned == [run_lowered_cell(shared, lc) for lc in eligible]
+        eligible = [specs[0], specs[2]]
+        laned = run_lane_cells(shared, [lower_cell(spec, shared)
+                                        for spec in eligible])
+        assert laned == [run_lowered_cell(shared, lower_cell(spec, shared))
+                         for spec in eligible]
 
 
 class TestCryptoLaneIdentity:
@@ -194,6 +217,194 @@ class TestCryptoLaneIdentity:
         assert lowered.hooked
         assert run_lowered_cell(shared, lowered) == _per_cell(spec)
         assert lanes_mod.LAST_STATS["lanes"] == 1
+
+
+#: power-of-two random-fill windows, most with a > 0: near line 0 their
+#: fills fall below it and are dropped (window underflow)
+DRAW_WINDOWS = ((0, 7), (1, 0), (4, 3), (8, 7), (16, 15), (31, 0))
+
+
+def _advanced(rng, draws):
+    """A copy of ``rng`` advanced by ``draws`` scalar ``draw()`` calls."""
+    twin = copy.deepcopy(rng)
+    for _ in range(draws):
+        twin.draw()
+    return twin
+
+
+def _every_kernel(spec, group):
+    """One cell through the native lanes, the Python lanes and the flat
+    kernel, each lowered afresh: ``[(result, rng after, rng before)]``."""
+    runs = []
+    for backend in BACKENDS + ["flat"]:
+        lowered = lower_cell(spec, group)
+        assert lowered is not None and lowered.policy_kind == 2
+        start = copy.deepcopy(lowered.rng)
+        if backend == "flat":
+            result = run_lowered_cell(group, lowered)
+        else:
+            (result,) = _run_lanes(group, [lowered], backend)
+        runs.append((result, lowered.rng, start))
+    return runs
+
+
+def _assert_draws_match(runs, reference):
+    for result, rng, start in runs:
+        assert result == reference
+        assert rng.word_state() == \
+            _advanced(start, result.l1_demand_misses).word_state()
+
+
+def _small_trace(records):
+    """A trace over ``(line, gap)`` records, line addresses near 0."""
+    lines, gaps = zip(*records)
+    return Trace(np.asarray(lines, dtype=np.int64) * BASELINE_CONFIG.line_size,
+                 np.asarray(gaps, dtype=np.int64),
+                 np.zeros(len(lines), dtype=np.int64))
+
+
+def _rng_factory(width, buffer_size, drawn):
+    """Stand-in for the scheme builder's ``HardwareRng``: the same seed,
+    another width / refill size, ``drawn`` values already popped."""
+    def build(seed):
+        rng = HardwareRng(seed, width=width, buffer_size=buffer_size)
+        for _ in range(drawn):
+            rng.draw()
+        return rng
+    return build
+
+
+class TestInKernelDraws:
+    """A random-fill lane draws from its cell's own RNG at each demand
+    miss: native lanes, Python lanes, the flat kernel and the per-cell
+    path agree bit for bit, and every kernel leaves the RNG where
+    ``l1_demand_misses`` scalar ``draw()`` calls leave it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(0, 300),
+                                      st.integers(0, 5)),
+                            min_size=1, max_size=200),
+           window=st.sampled_from(DRAW_WINDOWS),
+           seed=st.integers(min_value=0, max_value=2**16),
+           warm=st.booleans())
+    def test_short_traces_near_line_zero(self, records, window, seed, warm):
+        trace = _small_trace(records)
+        spec = CellSpec(kind="general", benchmark="astar",
+                        scheme="random_fill", window=window,
+                        n_refs=len(trace), seed=seed, warm=warm)
+        group = GeneralGroupState(trace, spec.config, warm)
+        reference = run_general_workload(
+            spec.benchmark, window, spec.config, seed=seed, trace=trace,
+            warm=warm)
+        _assert_draws_match(_every_kernel(spec, group), reference)
+
+    def test_underflow_drops_are_exercised(self):
+        # Every line misses once; with a = 31 most fills land below
+        # line 0, and all kernels must drop exactly those.
+        trace = _small_trace([(line, 1) for line in range(24)])
+        spec = CellSpec(kind="general", benchmark="astar",
+                        scheme="random_fill", window=(31, 0), n_refs=24,
+                        seed=5, warm=False)
+        group = GeneralGroupState(trace, spec.config, warm=False)
+        runs = _every_kernel(spec, group)
+        reference = run_general_workload(
+            "astar", (31, 0), spec.config, seed=5, trace=trace, warm=False)
+        _assert_draws_match(runs, reference)
+        _result, _rng, start = runs[0]
+        twin = copy.deepcopy(start)
+        fills = [line + (twin.draw() & 31) - 31 for line in range(24)]
+        assert reference.l1_demand_misses == 24
+        assert sum(fill < 0 for fill in fills) > 12
+
+    @settings(max_examples=6, deadline=None)
+    @given(window=st.sampled_from(DRAW_WINDOWS),
+           seed=st.integers(min_value=0, max_value=50),
+           benchmark=st.sampled_from(("astar", "lbm")),
+           warm=st.booleans())
+    def test_workload_cells_match_run_cell(self, window, seed, benchmark,
+                                           warm):
+        spec = CellSpec(kind="general", benchmark=benchmark,
+                        scheme="random_fill", window=window, n_refs=1200,
+                        seed=seed, warm=warm)
+        group = group_state_for(spec)
+        _assert_draws_match(_every_kernel(spec, group), _per_cell(spec))
+
+    @pytest.mark.parametrize("width,buffer_size,drawn", [
+        (8, 256, 37),        # buffer non-empty at lowering
+        (8, 256, 255),       # one value left, then a refill
+        (1, 7, 3),
+        (1, 256, 0),
+        (8, 1, 0),
+        (32, 1, 0),
+        (32, 7, 5),
+        (32, 256, 100),
+    ])
+    def test_starting_states(self, monkeypatch, width, buffer_size, drawn):
+        monkeypatch.setattr("repro.schemes.builtin.HardwareRng",
+                            _rng_factory(width, buffer_size, drawn))
+        # ~340 demand misses: every buffer below runs dry and refills
+        spec = CellSpec(kind="general", benchmark="astar",
+                        scheme="random_fill", window=(8, 7), n_refs=1500,
+                        seed=4, warm=True)
+        group = group_state_for(spec)
+        lowered = lower_cell(spec, group)
+        assert (lowered.rng.width, lowered.rng.buffer_size) == \
+            (width, buffer_size)
+        assert len(lowered.rng.word_state()[2]) == \
+            (buffer_size - drawn if drawn else 0)
+        _assert_draws_match(_every_kernel(spec, group), run_cell(spec))
+
+    def test_wider_than_one_word_runs_per_cell(self, monkeypatch):
+        monkeypatch.setattr("repro.schemes.builtin.HardwareRng",
+                            _rng_factory(33, 256, 0))
+        spec = CellSpec(kind="general", benchmark="astar",
+                        scheme="random_fill", window=(4, 3), n_refs=1200,
+                        seed=1)
+        assert lower_cell(spec, group_state_for(spec)) is None
+        assert not lane_eligible(spec)
+        assert run_cell(spec).l1_demand_misses > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rng_wider_than_one_word_is_rejected(self, backend):
+        shared, lower = _group("astar", ((4, 3),), warm=False, seed=1)
+        lowered = lower()[0]
+        lowered.rng = HardwareRng(1, width=33)
+        with pytest.raises(ValueError, match="width"):
+            _run_lanes(shared, [lowered], backend)
+
+    @pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on host")
+    def test_native_call_that_cannot_run_leaves_rng_untouched(self):
+        # mq_capacity above the kernel's drain scratch bound: the C
+        # entry refuses (-2) and no RNG may move.
+        shared, lower = _group("astar", ((4, 3),), warm=False, seed=0)
+        lowered = lower()[0]
+        before = lowered.rng.word_state()
+        assert lanes_mod._run_native(
+            lanes_mod._native(), shared.line_array, shared.step_array,
+            shared.instructions, lowered.l1_num_sets, lowered.l1_assoc,
+            shared.l2_sets_view(), shared.l2_num_sets, shared.l2_assoc,
+            lowered.l2_hit_latency, 128, lowered.fill_reserve,
+            lowered.fill_queue_capacity, lowered.hit_cost, lowered.mlp,
+            lowered.credit, [lowered.lane_cell()], lowered.dram) is None
+        assert lowered.rng.word_state() == before
+
+    def test_failed_native_call_then_python_fallback(self, monkeypatch):
+        # A native call that scribbles over its state buffer and then
+        # fails must hand nothing back: the Python fallback starts from
+        # the untouched stream and matches a clean scalar run.
+        def failing(*args):
+            args[6][0] = 12345           # state: the first lane's RNG block
+            return -1
+
+        monkeypatch.setattr(lanes_mod, "_native", lambda: failing)
+        shared, lower = _group("lbm", ((16, 15),), warm=True, seed=3)
+        lowered = lower()[0]
+        start = copy.deepcopy(lowered.rng)
+        (laned,) = _run_lanes(shared, [lowered], None)
+        assert lanes_mod.LAST_STATS["backend"] == "python"
+        assert laned == run_lowered_cell(shared, lower()[0])
+        assert lowered.rng.word_state() == \
+            _advanced(start, laned.l1_demand_misses).word_state()
 
 
 def _fresh_cache(monkeypatch, directory):
@@ -254,14 +465,14 @@ class TestNativeArtifact:
 class TestLaneKnobs:
     def test_explicit_native_raises_without_compiler(self, monkeypatch):
         monkeypatch.setattr(lanes_mod, "_native", lambda: None)
-        shared, lowered = _group("astar", ((0, 0),), warm=False, seed=0)
+        shared, lower = _group("astar", ((0, 0),), warm=False, seed=0)
         with pytest.raises(RuntimeError, match="native"):
-            _run_lanes(shared, lowered, "native")
+            _run_lanes(shared, lower(), "native")
 
     def test_unknown_backend_rejected(self):
-        shared, lowered = _group("astar", ((0, 0),), warm=False, seed=0)
+        shared, lower = _group("astar", ((0, 0),), warm=False, seed=0)
         with pytest.raises(ValueError, match="backend"):
-            _run_lanes(shared, lowered, "cuda")
+            _run_lanes(shared, lower(), "cuda")
 
     def test_empty_lane_list_is_empty(self):
         shared, _ = _group("astar", ((0, 0),), warm=False, seed=0)
@@ -271,12 +482,16 @@ class TestLaneKnobs:
         # The native kernel bounds its drain scratch at 64 MSHR
         # entries; a larger capacity must transparently take the
         # Python lanes (backend=None auto-selection).
-        shared, lowered = _group("astar", ((4, 3),), warm=False, seed=0)
-        for lc in lowered:
-            lc.mq_capacity = 128
-        laned = _run_lanes(shared, lowered[:1] * 2, None)
+        shared, lower = _group("astar", ((4, 3),), warm=False, seed=0)
+
+        def big():
+            lowered = lower()[0]
+            lowered.mq_capacity = 128
+            return lowered
+
+        laned = _run_lanes(shared, [big(), big()], None)
         assert lanes_mod.LAST_STATS["backend"] == "python"
         assert laned[0] == laned[1]
         # Identity still holds at the bigger capacity: compare against
         # the scalar kernel run with the same parameters.
-        assert laned[0] == run_lowered_cell(shared, lowered[0])
+        assert laned[0] == run_lowered_cell(shared, big())

@@ -1,5 +1,7 @@
 """Tests for the hardware RNG model."""
 
+import random
+
 import pytest
 
 from repro.util.rng import HardwareRng, derive_seed
@@ -56,55 +58,39 @@ class TestHardwareRng:
         assert min(counts) > 700 and max(counts) < 1300
 
 
-class TestPregenerate:
-    """``pregenerate(n)`` must be bit-identical to ``n`` scalar draws —
-    values *and* the RNG state left behind."""
+class TestWordState:
+    """``word_state`` / ``set_word_state`` carry the draw stream across
+    a kernel that continues it outside Python."""
 
-    def test_matches_scalar_draws(self):
-        for seed in (0, 1, 42):
-            batched = HardwareRng(seed=seed)
-            scalar = HardwareRng(seed=seed)
-            assert batched.pregenerate(1000) == \
-                [scalar.draw() for _ in range(1000)]
+    def test_round_trip_continues_the_stream(self):
+        for drawn in (0, 1, 37, 256, 300):
+            rng = HardwareRng(seed=5)
+            scalar = HardwareRng(seed=5)
+            for _ in range(drawn):
+                assert rng.draw() == scalar.draw()
+            moved = HardwareRng(seed=99)
+            moved.set_word_state(*rng.word_state())
+            assert [moved.draw() for _ in range(700)] == \
+                [scalar.draw() for _ in range(700)]
 
-    def test_mid_buffer_start_then_lockstep(self):
-        batched = HardwareRng(seed=5)
-        scalar = HardwareRng(seed=5)
-        for _ in range(37):           # leave both mid-buffer
-            assert batched.draw() == scalar.draw()
-        assert batched.pregenerate(300) == \
-            [scalar.draw() for _ in range(300)]
-        # State after: subsequent draws still agree (multi-refill tail).
-        assert [batched.draw() for _ in range(700)] == \
-            [scalar.draw() for _ in range(700)]
+    def test_words_are_one_getrandbits_word_per_value(self):
+        # What the native kernel relies on: a refill of width <= 32 is
+        # one MT word per value, shifted down to the width.
+        rng = HardwareRng(seed=7, width=5, buffer_size=4)
+        words, index, buffer = rng.word_state()
+        assert (len(words), index, buffer) == (624, 624, [])
+        twin = random.Random()
+        twin.setstate((3, tuple(words) + (index,), None))
+        expected = [twin.getrandbits(32) >> 27 for _ in range(4)][::-1]
+        assert [rng.draw() for _ in range(4)] == expected
 
-    def test_interleaved_pregenerate_and_draw(self):
-        batched = HardwareRng(seed=8)
-        scalar = HardwareRng(seed=8)
-        stream = []
-        stream += batched.pregenerate(13)
-        stream += [batched.draw() for _ in range(5)]
-        stream += batched.pregenerate(600)
-        stream += [batched.draw()]
-        assert stream == [scalar.draw() for _ in range(len(stream))]
-
-    def test_narrow_width(self):
-        batched = HardwareRng(seed=9, width=16)
-        scalar = HardwareRng(seed=9, width=16)
-        assert batched.pregenerate(2500) == \
-            [scalar.draw() for _ in range(2500)]
-
-    def test_nonpositive_count_is_empty_noop(self):
-        rng = HardwareRng(seed=1)
-        assert rng.pregenerate(0) == []
-        assert rng.pregenerate(-3) == []
-        assert rng.draw() == HardwareRng(seed=1).draw()
-
-    def test_scalar_fallback_matches_numpy_path(self):
-        # Wide RNGs skip the numpy transplant (> one MT word per draw).
-        wide = HardwareRng(seed=4, width=48)
-        scalar = HardwareRng(seed=4, width=48)
-        assert wide.pregenerate(700) == [scalar.draw() for _ in range(700)]
+    def test_buffer_is_replaced_in_place(self):
+        rng = HardwareRng(seed=3)
+        held = rng._buffer
+        rng.draw()
+        words, index, buffer = rng.word_state()
+        rng.set_word_state(words, index, buffer[:10])
+        assert rng._buffer is held and held == buffer[:10]
 
 
 class TestDeriveSeed:
