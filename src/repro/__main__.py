@@ -12,9 +12,10 @@ and appends its wall-clock and throughput to ``BENCH_runner.json``.
 ``--telemetry PATH`` streams a JSONL event log of the run; ``--resume``
 re-runs an interrupted sweep, recomputing only the cells that had not
 been checkpointed into the result cache.  Compatible cells are batched
-by default so one trace decode serves a whole group
-(``--batch/--no-batch`` / ``REPRO_BATCH``); results are bit-identical
-either way.
+by default so one trace decode serves a whole group, and lowered cells
+advance as lanes of one kernel call (``--lanes N`` / ``REPRO_LANES``;
+``--lanes 0`` plans no batches and runs every cell on its own);
+results are bit-identical for any width.
 
 ``python -m repro leakage`` runs the unified leakage sweep — empirical
 mutual information, guessing entropy and success-rate curves for the
@@ -155,28 +156,26 @@ def _batch_label(batch) -> str:
     return f"{batch.kind}:{detail}" if detail else batch.kind
 
 
-def _run_profile_batched(specs, batch) -> bool:
+def _run_profile_batched(specs) -> bool:
     """Profile the first planned batch of ``specs`` under cProfile.
 
     Prints the batch plan (groups, cells per group) first, so the
     profile is read in context of what the real sweep would dispatch.
     Returns ``False`` — caller falls back to single-cell profiling —
-    when batching is off (flag, env, or checked mode) or when the grid
-    plans no batch.
+    when batching is off (lane width 0, or checked mode) or when the
+    grid plans no batch.
     """
     from repro.check import check_rate_from_env
     from repro.cpu.batch import lane_eligible
     from repro.runner.batch import (
-        LANE_KINDS, BatchItem, plan_batches, resolve_batch, resolve_lanes,
-    )
+        LANE_KINDS, BatchItem, plan_batches, resolve_lanes)
     from repro.runner.profiler import profile_batch
 
     try:
-        batching = resolve_batch(batch)
         lane_width = resolve_lanes()
     except ValueError as error:
         sys.exit(f"error: {error}")
-    if not batching or check_rate_from_env() is not None:
+    if check_rate_from_env() is not None:
         return False
     items = plan_batches(specs, range(len(specs)))
     batches = [item for item in items if isinstance(item, BatchItem)]
@@ -188,11 +187,11 @@ def _run_profile_batched(specs, batch) -> bool:
     lane_batch = None
     for item in batches:
         eligible = 0
-        if item.batch.kind in LANE_KINDS and lane_width >= 2:
+        if item.batch.kind in LANE_KINDS:
             eligible = sum(lane_eligible(spec) for spec in item.batch.cells)
         fallback = len(item.indices) - eligible
         lanes_note = (f"{eligible:3d} lane / {fallback} fallback"
-                      if eligible else "scalar")
+                      if eligible else "per cell")
         print(f"  {item.batch.batch_id:4s} {_batch_label(item.batch):28s} "
               f"{len(item.indices):3d} cells  {lanes_note}")
         if eligible >= 2 and lane_batch is None:
@@ -279,7 +278,7 @@ def _print_run_stats(stats: dict, jobs: int, resume: bool = False) -> None:
     if stats.get("lane_width", 0):
         print(f"lanes: width {stats.get('lane_width', 0):.0f}, "
               f"{stats.get('vectorized_cells', 0):.0f} cells vectorized, "
-              f"{stats.get('scalar_fallback_cells', 0):.0f} scalar "
+              f"{stats.get('scalar_fallback_cells', 0):.0f} per-cell "
               f"fallback")
     supervision = {name: stats.get(name, 0)
                    for name in ("retries", "timeouts", "pool_restarts",
@@ -322,14 +321,14 @@ def sweep(args: argparse.Namespace) -> None:
     _validate_cache_env()
     if args.profile:
         grid = _profile_grid_specs(args)
-        if grid is None or not _run_profile_batched(grid, args.batch):
+        if grid is None or not _run_profile_batched(grid):
             _run_profile(_sweep_profile_spec(args))
         return
     _check_resume(args.resume)
     jobs = _resolve_jobs_or_exit(args.jobs)
     print(f"sweep {args.figure}: {SWEEPS[args.figure]} "
           f"(jobs={jobs}, seed={args.seed})")
-    with run_context(telemetry=args.telemetry or None, batch=args.batch):
+    with run_context(telemetry=args.telemetry or None):
         if args.figure == "fig6":
             points = figure6(message_kb=args.message_kb, seed=args.seed,
                              jobs=jobs)
@@ -411,12 +410,12 @@ def leakage(args: argparse.Namespace) -> None:
         grid_kwargs["curve_repeats"] = 100
     specs = leakage_grid(**grid_kwargs)
     if args.profile:
-        if not _run_profile_batched(specs, args.batch):
+        if not _run_profile_batched(specs):
             _run_profile(specs[0])
         return
     print(f"leakage sweep: {len(specs)} cells "
           f"(jobs={jobs}, seed={args.seed}, seeds={args.seeds})")
-    with run_context(telemetry=args.telemetry or None, batch=args.batch):
+    with run_context(telemetry=args.telemetry or None):
         results = run_leakage_sweep(specs, jobs=jobs)
     print(format_leakage_table(results))
 
@@ -530,17 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "the invariant sanitizer and differential oracle, "
                     "validating every RATE accesses (default 1024); "
                     "exports REPRO_CHECK to worker processes")
-    sp.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="batch compatible cells so one trace decode "
-                    "serves a whole group (default: on, or REPRO_BATCH); "
-                    "results are bit-identical either way")
     sp.add_argument("--lanes", type=int, default=None, metavar="N",
-                    help="lane width for the batched kernel: advance up "
-                    "to N eligible cells of a group per kernel call "
-                    "(default: REPRO_LANES or 64; 0/1 keeps the scalar "
-                    "per-cell kernel); results are bit-identical for "
-                    "any width")
+                    help="lane width: batch compatible cells so one trace "
+                    "decode serves a whole group, and advance up to N "
+                    "eligible cells of a group per lane-kernel call "
+                    "(default: REPRO_LANES or 64; 0 plans no batches and "
+                    "runs every cell on its own); results are "
+                    "bit-identical for any width")
     sp.add_argument("--profile", action="store_true",
                     help="run ONE representative cell (or, when the sweep "
                     "batches, its first batch) under cProfile and print "
@@ -581,11 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="resume an interrupted sweep: recompute only the "
                     "cells missing from the result-cache checkpoints and "
                     "report how many were restored")
-    lp.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="batch compatible cells into one work item per "
-                    "group (default: on, or REPRO_BATCH); results are "
-                    "bit-identical either way")
     lp.add_argument("--profile", action="store_true",
                     help="run ONE grid cell (or, when the sweep batches, "
                     "its first batch) under cProfile and print the "

@@ -5,44 +5,40 @@ seed knob, or scheme while replaying the *same* trace through the same
 cache geometry; a Figure 6 sweep runs four schemes per L1 geometry over
 one AES-CBC trace.  The per-cell path re-derives the decode columns and
 re-warms the L2 for every one of them; this module computes that shared
-work once per batch group and lowers each eligible cell onto the flat
-kernel (:func:`repro.cpu.timing.run_flat_general`) or — several lanes
-at a time — onto the lane-parallel kernel
-(:func:`repro.cpu.lanes.run_lanes_general`):
+work once per batch group and lowers each eligible cell onto the lane
+kernel (:func:`repro.cpu.lanes.run_lanes_general`), which advances the
+cells of a group as lanes of one call:
 
 * :class:`GeneralGroupState` — the per-(trace, config, warm) inputs:
   decoded int64 line/step columns of the measured slice (the lane
-  kernel reads them in place; the Python kernels' list forms are built
-  only when one asks) and the warmed L2 contents as plain int lists.
-  ``"general"`` groups decode a workload trace (warm split optional);
-  ``"crypto"`` groups decode the whole AES-CBC trace over an empty L2,
+  kernel reads them in place) and the warmed L2 contents as plain int
+  lists.  ``"general"`` groups decode a workload trace (warm split
+  optional); ``"crypto"`` groups decode the whole AES-CBC trace over an
+  empty L2,
 * :func:`lower_cell` — build the cell's scheme exactly as its
   per-cell runner does (crypto cells with the AES tables protected,
   then the scheme's ``prepare()``, e.g. the PLcache preload), check
-  that it is a configuration the kernels transcribe, and snapshot any
+  that it is a configuration the kernel transcribes, and snapshot any
   state the setup left (start cycle, L1 image with lock bits, L2
   image, DRAM rows/banks) plus the random-fill engine's own RNG, which
-  the kernels draw from at each demand miss; lowering never advances
+  the kernel draws from at each demand miss; lowering never advances
   that RNG.  Ineligible cells lower to ``None`` and the caller falls
   back to :func:`repro.runner.cells.run_cell`,
-* :func:`run_lowered_cell` / :func:`run_batched_cell` — one cell
-  through the scalar flat kernel, or — for a cell with carried-in
-  state or policy hooks — a width-1 lane call,
 * :func:`run_lane_cells` — a group of lowered cells through the lane
   kernel in one shared trace pass (the lanes must agree on
-  :meth:`LoweredCell.shared_key`),
+  :meth:`LoweredCell.shared_key`; a group of one is a width-1 call),
 * :func:`lane_eligible` — the same check from the spec alone (no trace
   load), for plan displays.
 
-The kernels cover the stock set-associative/LRU L1 with demand fetch
+The kernel covers the stock set-associative/LRU L1 with demand fetch
 or a power-of-two random-fill window, plus two policy hooks: PLcache
 lock bits (a lock-aware victim choice) and the disable-cache scheme's
 L1 bypass of the protected lines.  Results are bit-identical to the
-per-cell path: the kernels are exact transcriptions of the fused
+per-cell path: the kernel is an exact transcription of the fused
 kernel plus settle, the warm replay mirrors ``warm_l2``, the snapshot
-is the object model's own post-setup state, and every kernel draws
-from the cell's RNG at the same point the fused kernel does, leaving
-it where the per-cell run would.
+is the object model's own post-setup state, and every lane draws from
+its cell's RNG at the same point the fused kernel does, leaving it
+where the per-cell run would.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from repro.cache.l2 import L2Cache
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.policy import RandomFillPolicy
 from repro.cpu.lanes import LaneCell, run_lanes_general
-from repro.cpu.timing import SimResult, run_flat_general
+from repro.cpu.timing import SimResult
 from repro.cpu.trace import Trace
 from repro.memory.dram import DramModel
 from repro.secure.nocache import DisableCachePolicy
@@ -76,11 +72,11 @@ class GeneralGroupState:
     """Shared inputs of one batch group: decode columns + warm L2 state.
 
     Built once per (trace, config, warm) group; every cell of the group
-    reads the same columns (never mutated) and receives its own copy of
-    the warmed L2 sets (mutated by its kernel run).  ``line_array`` /
+    reads the same columns and warmed L2 sets, never mutating them (the
+    lane kernel copies the L2 per lane).  ``line_array`` /
     ``step_array`` are the int64 columns the lane kernel reads;
-    :attr:`lines` / :attr:`steps` are their plain-list forms for the
-    Python kernels, built on first use and memoized on the decode.
+    :attr:`lines` is the plain-list form of the line column, built on
+    first use and memoized on the decode.
     """
 
     __slots__ = ("config", "line_array", "step_array", "instructions",
@@ -128,15 +124,6 @@ class GeneralGroupState:
     def lines(self) -> List[int]:
         """Line address per measured record, as plain ints."""
         return self._decode.lines_list()
-
-    @property
-    def steps(self) -> List[int]:
-        """Issue-cycle step per measured record, as plain ints."""
-        return self._decode.issue_steps(self.config.issue_width)
-
-    def l2_sets_copy(self) -> List[List[int]]:
-        """A fresh mutable copy of the warmed L2 contents."""
-        return [list(cache_set) for cache_set in self._warm_l2_sets]
 
     def l2_sets_view(self) -> List[List[int]]:
         """The warmed L2 contents, MRU first — read-only for callers.
@@ -186,12 +173,6 @@ class LoweredCell:
                 self.mq_capacity, self.fill_reserve,
                 self.fill_queue_capacity, self.hit_cost, self.mlp,
                 self.credit, self.dram)
-
-    @property
-    def hooked(self) -> bool:
-        """Does the cell need the lane kernel's carry-in or hooks?"""
-        return bool(self.start or self.l1_image or self.l2_image
-                    or self.dram_state or self.bypass)
 
     def lane_cell(self) -> LaneCell:
         """This cell's per-lane kernel inputs."""
@@ -306,7 +287,7 @@ def _lower(spec) -> Optional[LoweredCell]:
             if rf_mask is None:
                 return None          # non-power-of-two: draw_below path
             rng = engine._rng
-            # The kernels continue this cell's own stream, one draw per
+            # The kernel continues this cell's own stream, one draw per
             # demand miss; a draw wider than one MT word runs per cell.
             if type(rng) is not HardwareRng or rng.width > WORD_BITS:
                 return None
@@ -362,7 +343,7 @@ def lower_cell(spec, group: GeneralGroupState) -> Optional[LoweredCell]:
 
 
 def lane_eligible(spec) -> bool:
-    """Would this spec lower onto the kernels?  No trace is loaded.
+    """Would this spec lower onto the lane kernel?  No trace is loaded.
 
     Used by plan displays (``--profile``): lowering needs only the spec
     (the scheme build is cheap), so this is :func:`lower_cell` without
@@ -371,44 +352,13 @@ def lane_eligible(spec) -> bool:
     return _lower(spec) is not None
 
 
-def run_lowered_cell(group: GeneralGroupState,
-                     lowered: LoweredCell) -> SimResult:
-    """Run one lowered cell through the scalar flat kernel.
-
-    A hooked cell (carried-in state, lock bits or an L1 bypass) runs as
-    a width-1 lane call instead: the hooks live in the lane kernel only.
-    """
-    if lowered.hooked:
-        return run_lane_cells(group, [lowered])[0]
-    return run_flat_general(
-        group.lines, group.steps, group.instructions,
-        l1_num_sets=lowered.l1_num_sets, l1_assoc=lowered.l1_assoc,
-        l2_sets=group.l2_sets_copy(), l2_num_sets=group.l2_num_sets,
-        l2_assoc=group.l2_assoc, l2_hit_latency=lowered.l2_hit_latency,
-        mq_capacity=lowered.mq_capacity,
-        fill_reserve=lowered.fill_reserve,
-        fill_queue_capacity=lowered.fill_queue_capacity,
-        hit_cost=lowered.hit_cost, mlp=lowered.mlp, credit=lowered.credit,
-        policy_kind=lowered.policy_kind, rf_a=lowered.rf_a,
-        rf_mask=lowered.rf_mask, rng=lowered.rng, dram=lowered.dram,
-    )
-
-
-def run_batched_cell(spec, group: GeneralGroupState) -> Optional[SimResult]:
-    """Run one cell through the flat kernel, or ``None`` if ineligible."""
-    lowered = lower_cell(spec, group)
-    if lowered is None:
-        return None
-    return run_lowered_cell(group, lowered)
-
-
 def run_lane_cells(group: GeneralGroupState,
                    lowered: Sequence[LoweredCell]) -> List[SimResult]:
     """Run a group of lowered cells as lanes of one shared trace pass.
 
     Every member must report the same :meth:`LoweredCell.shared_key`
     (the runner groups by it before calling).  Returns one result per
-    cell, in order, bit-identical to :func:`run_lowered_cell` per cell.
+    cell, in order, bit-identical to each cell's per-cell run.
     """
     if not lowered:
         return []

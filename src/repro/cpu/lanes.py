@@ -1,11 +1,11 @@
 """Lane-parallel kernel: one call advances a whole batch group.
 
 The batched path amortizes trace decode and the warm-L2 replay across a
-group; the flat state machine
-(:func:`repro.cpu.timing.run_flat_general`) still runs once per member
-cell — an N-cell group costs N Python interpreter passes over the same
-columns.  This module runs all eligible cells of a group as independent
-*lanes* over the shared columns in a single kernel call.
+group; this module then runs every lowered cell of the group as an
+independent *lane* over the shared columns in a single kernel call.  It
+is the only kernel lowered cells run on: a cell alone in its chunk is a
+width-1 call, and cells that do not lower run per cell through the
+object model (:func:`repro.runner.cells.run_cell`).
 
 There is one cache loop; scheme differences are small per-lane hooks
 and carried-in state (:class:`LaneCell`), in the spirit of a
@@ -35,21 +35,22 @@ RNG itself.  Either way the RNG ends exactly where scalar ``draw()``
 calls would leave it.  The per-record state machine itself runs in a
 small C kernel (``lanes_kernel.c``), compiled once with the host
 toolchain and loaded through :mod:`ctypes`; results are
-**bit-identical** to the flat kernel (and, for lanes with carried-in
-state or hooks, to the object model the hooks transcribe) because the
-C code is a branch-for-branch transcription (drain order, fill-queue
-drop/merge rules, MSHR-full stall, MLP charge table with its prune
-threshold, and the settle loop) and every quantity fits int64 with all
-divisions on non-negative operands.
+**bit-identical** to the per-cell path (the fused timing kernel plus
+settle, and for lanes with carried-in state or hooks, the object model
+the hooks transcribe) because the C code is a branch-for-branch
+transcription (drain order, fill-queue drop/merge rules, MSHR-full
+stall, MLP charge table with its prune threshold, and the settle loop)
+and every quantity fits int64 with all divisions on non-negative
+operands.
 
 Why C and not numpy record-steps: this kernel went through three
 measured all-Python designs first — the issue-sketched
 ``(lanes, sets, assoc)`` numpy struct-of-arrays with ``tags == line``
-hit-scan reductions ran ~3x *slower* than the scalar kernel (small-
-array numpy op constants dominate at fig10 lane widths), a lockstep
-presence-bitmask design (one dict lookup classifying all lanes per
-record) reached only ~0.55x (per-lane indexing replaces the flat
-kernel's bare locals on every event), and a fully tuned per-lane
+hit-scan reductions ran ~3x *slower* than a scalar per-cell Python
+loop (small-array numpy op constants dominate at fig10 lane widths), a
+lockstep presence-bitmask design (one dict lookup classifying all lanes
+per record) reached only ~0.55x (per-lane indexing replaces the scalar
+loop's bare locals on every event), and a fully tuned per-lane
 rewrite (heap MSHR, O(1) ordered-dict sets, precomputed offsets,
 steady-merge fast path) topped out at ~1.06x — fig10 traffic is
 miss/merge-dominated, so per-event interpreter constants bound any
@@ -87,10 +88,10 @@ from repro.cpu.timing import (
 )
 from repro.util.rng import WORD_BITS, HardwareRng
 
-#: mirrors :data:`repro.cpu.timing._NEVER` (MissQueue.NEVER)
+#: mirrors :data:`repro.cache.mshr.MissQueue.NEVER`
 _NEVER = 1 << 62
 
-#: flat-kernel request types (1 mirrors ``NOFILL``)
+#: MSHR request types as plain ints (1 mirrors ``NOFILL``)
 _RT_NORMAL, _RT_NOFILL, _RT_RANDOM_FILL = 0, 1, 2
 
 #: diagnostics of the most recent kernel run, read by the profiler
@@ -420,20 +421,21 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                      cell, dram) -> SimResult:
     """One lane's trace pass — the tuned Python fallback.
 
-    A transcription of :func:`run_flat_general` with faster but
-    order-identical machinery: cache sets are :class:`OrderedDict`
-    mapping line to lock bit (O(1) membership, ``move_to_end`` refresh
-    carrying the bit along, first unlocked key = LRU victim — the flat
-    MRU-first lists reversed), the MSHR adds a completion-
-    ordered heap whose ``(completion, seq)`` order reproduces the flat
-    kernel's stable completion sort, the step column arrives fused with
-    the per-record ``hit_cost`` (every flat branch adds exactly one),
-    and a ``steady`` set marks lines whose charge already equals their
-    in-flight completion so a repeat merge retires in one membership
-    test (after the drain check, surviving entries complete strictly
-    after ``now``, so such a merge adds exactly the already-fused
-    ``hit_cost``).  A random-fill miss calls the cell's ``draw()``
-    where the flat and native kernels draw.
+    The Python twin of ``lanes_kernel.c``: the same per-record state
+    machine (the fused timing kernel plus settle, with the lane hooks)
+    on faster but order-identical machinery.  Cache sets are
+    :class:`OrderedDict` mapping line to lock bit (O(1) membership,
+    ``move_to_end`` refresh carrying the bit along, first unlocked key =
+    LRU victim — the C kernel's MRU-first ways reversed); the MSHR adds
+    a completion-ordered heap whose ``(completion, seq)`` order
+    reproduces ``MissQueue.drain``'s stable completion sort; the step
+    column arrives fused with the per-record ``hit_cost`` (every branch
+    of the record loop adds exactly one); and a ``steady`` set marks
+    lines whose charge already equals their in-flight completion so a
+    repeat merge retires in one membership test (after the drain check,
+    surviving entries complete strictly after ``now``, so such a merge
+    adds exactly the already-fused ``hit_cost``).  A random-fill miss
+    calls the cell's ``draw()`` where the fused and native kernels draw.
     """
     from heapq import heappop, heappush
 
@@ -566,8 +568,8 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
     charged: dict = {}
     charged_get = charged.get
     for line, sp in zip(lines_l, steps_plus):
-        # ``sp`` fuses step + hit_cost: the flat-clock "now" at branch
-        # entry is ``now - hit_cost``.
+        # ``sp`` fuses step + hit_cost: the unfused clock's "now" at
+        # branch entry is ``now - hit_cost``.
         now += sp
         if now >= ncx:
             drain(now - hit_cost)
@@ -596,8 +598,8 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                 issue_fills(now - hit_cost)
             continue
         if line in steady:
-            # charged[line] == mq[line][0] > now: the flat merge path
-            # adds exactly hit_cost, already fused into the step.
+            # charged[line] == mq[line][0] > now: the merge path adds
+            # exactly hit_cost, already fused into the step.
             continue
         nb = now - hit_cost
         in_flight = mq_get(line)
@@ -705,8 +707,8 @@ def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
                 if charged_get(k) != mq[k][0]:
                     steady_discard(k)
 
-    # End-of-run settle (flat kernel's loop, verbatim): issued fills
-    # and their L2/DRAM traffic count toward this run's totals.
+    # End-of-run settle (L1Controller.settle with now=None): issued
+    # fills and their L2/DRAM traffic count toward this run's totals.
     while fill_queue or mq:
         progressed = False
         if mq:
@@ -751,17 +753,21 @@ def run_lanes_general(lines_l, steps_l, instructions,
                       backend: Optional[str] = None) -> List[SimResult]:
     """Advance every lane of a batch group over the shared columns.
 
-    Shared arguments mirror :func:`run_flat_general`, except that the
-    ``lines_l`` / ``steps_l`` columns may also be int64 arrays (the
-    native kernel reads those in place); ``l2_sets`` is
+    ``lines_l`` / ``steps_l`` are the measured records' line addresses
+    and issue-cycle steps as int64 arrays (the native kernel reads them
+    in place) and ``instructions`` their instruction count.  The shared
+    scalars are the L1 / L2 geometry, the L2 hit latency, MSHR capacity
+    and fill reserve, fill-queue capacity, L1 hit cost, MLP and overlap
+    credit, and ``dram`` is the ``(lines_per_row, banks, hit_latency,
+    miss_latency, hit_busy, miss_busy)`` timing tuple of the open-page
+    model.  ``l2_sets`` is
     the group's warmed L2 image (MRU-first int lists, *not* mutated —
     each lane works on its own copy) and ``cells`` holds one
     :class:`LaneCell` per lane: its policy split, carried-in state and
     hooks.  ``backend`` forces ``"native"`` or ``"python"``; the
     default picks the compiled kernel when available.  Returns one
     :class:`SimResult` per lane, bit-identical to running the cell
-    through the flat kernel (lanes without carried-in state or hooks)
-    or through the object model from the same starting state.
+    through the per-cell path from the same starting state.
     """
     if backend not in (None, "native", "python"):
         raise ValueError(
@@ -789,8 +795,7 @@ def run_lanes_general(lines_l, steps_l, instructions,
         raise RuntimeError(
             f"native lane kernel rejects mq_capacity {mq_capacity}")
     if results is None:
-        if isinstance(lines_l, np.ndarray):
-            lines_l = lines_l.tolist()
+        lines_l = lines_l.tolist()
         steps_plus = (np.asarray(steps_l, dtype=np.int64)
                       + hit_cost).tolist()
         results = [

@@ -1,6 +1,8 @@
-/* Lane-parallel group kernel: the flat state machine of
- * repro/cpu/timing.py:run_flat_general, transcribed to C and run once
- * per lane over the shared decoded trace columns.
+/* Lane-parallel group kernel: the per-record state machine of
+ * repro/cpu/timing.py:TimingModel._run_columnar_fused plus the
+ * controller's end-of-run settle, transcribed to C and run once per
+ * lane over the shared decoded trace columns.  Every lowered cell runs
+ * here, a cell alone in its chunk as a one-lane call.
  *
  * Each lane may carry state in (a start cycle, L1/L2 images with
  * per-way lock bits, DRAM open-row/bank-free state) and two policy
@@ -19,7 +21,7 @@
  * The transcription is branch-for-branch: the MissQueue drain order
  * (stable completion sort on insertion order), the fill-queue
  * drop/merge rules, the MSHR-full stall, the MLP charge table with its
- * prune threshold, and the end-of-run settle loop all mirror the
+ * prune threshold, and the end-of-run settle loop all mirror the fused
  * Python kernel exactly, so results are bit-identical per lane.  Every
  * quantity fits int64 (lines < 2^32, cycles grow by at most a few
  * hundred per record) and every division runs on non-negative

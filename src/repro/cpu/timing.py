@@ -114,285 +114,6 @@ class _MlpWindow:
         return now
 
 
-#: mirrors :data:`repro.cache.mshr.MissQueue.NEVER` for the flat kernel
-_NEVER = 1 << 62
-
-#: flat-kernel request types (plain ints; 1 mirrors ``NOFILL``)
-_RT_NORMAL, _RT_NOFILL, _RT_RANDOM_FILL = 0, 1, 2
-
-
-def run_flat_general(lines_l, steps_l, instructions,
-                     l1_num_sets, l1_assoc, l2_sets, l2_num_sets, l2_assoc,
-                     l2_hit_latency, mq_capacity, fill_reserve,
-                     fill_queue_capacity, hit_cost, mlp, credit,
-                     policy_kind, rf_a, rf_mask, rng, dram) -> SimResult:
-    """Self-contained flat kernel for the stock SA/LRU configuration.
-
-    The batched runner (:mod:`repro.cpu.batch`) lowers an eligible
-    scheme to plain values — int-list cache sets, a dict MSHR, inlined
-    L2/DRAM timing, and the random-fill engine's own RNG — and runs
-    the measured trace here.  The per-access state machine transcribes
-    ``TimingModel._run_columnar_fused`` exactly (including the settle
-    phase and the drop/merge rules of the fill queue), so results are
-    bit-identical to the per-cell path; what it removes is every
-    per-miss method call and ``LineState``/``MissEntry`` allocation,
-    and it swaps the attribute-compare tag scans for C-level int-list
-    membership tests.
-
-    ``l2_sets`` is owned (and mutated) by the kernel — callers pass a
-    per-cell copy of any shared warm state.  ``policy_kind`` follows
-    the fused kernel: 1 is a plain demand fill, 2 the random-fill
-    window with power-of-two mask ``rf_mask`` and lower bound ``rf_a``,
-    drawing once per demand miss from ``rng`` (a
-    :class:`~repro.util.rng.HardwareRng`, advanced in place exactly as
-    the fused kernel advances it).  ``dram`` is the
-    ``(lines_per_row, banks, hit_latency, miss_latency, hit_busy,
-    miss_busy)`` timing tuple of the open-page model.
-    """
-    (dram_lines_per_row, dram_banks, dram_hit_latency, dram_miss_latency,
-     dram_hit_busy, dram_miss_busy) = dram
-    l1_set_mask = l1_num_sets - 1
-    l2_set_mask = l2_num_sets - 1
-    l1_sets = [[] for _ in range(l1_num_sets)]
-    mq = {}                       # line -> [complete_at, request_type]
-    mq_get = mq.get
-    fill_queue = []               # queued random-fill line addresses
-    open_row = {}
-    bank_free = {}
-    bank_free_get = bank_free.get
-    open_row_get = open_row.get
-
-    prune_at = CHARGED_PRUNE_THRESHOLD
-    fill_cap = mq_capacity - fill_reserve
-    l2_accesses = 0
-    l2_misses = 0
-    memory_lines = 0
-    rf_issued = 0
-    hits = 0
-    demand_misses = 0
-    draw = rng.draw if policy_kind == 2 else None
-    nc = _NEVER
-    fills_blocked = False
-
-    def l2_access(line, at):
-        # L2Cache.access with the tag scan and DramModel.access inlined.
-        nonlocal l2_accesses, l2_misses, memory_lines
-        l2_accesses += 1
-        cache_set = l2_sets[line & l2_set_mask]
-        if line in cache_set:
-            if cache_set[0] != line:
-                cache_set.remove(line)
-                cache_set.insert(0, line)
-            return at + l2_hit_latency
-        l2_misses += 1
-        row = line // dram_lines_per_row
-        bank = row % dram_banks
-        start = bank_free_get(bank, 0)
-        at += l2_hit_latency
-        if start < at:
-            start = at
-        if open_row_get(bank) == row:
-            done = start + dram_hit_latency
-            bank_free[bank] = start + dram_hit_busy
-        else:
-            open_row[bank] = row
-            done = start + dram_miss_latency
-            bank_free[bank] = start + dram_miss_busy
-        memory_lines += 1
-        if len(cache_set) >= l2_assoc:
-            cache_set.pop()
-        cache_set.insert(0, line)
-        return done
-
-    def drain(at):
-        # MissQueue.drain + L1 install: retire entries completed by
-        # ``at`` in completion order (stable on insertion order).
-        nonlocal nc
-        if at < nc:
-            return 0
-        done = [item for item in mq.items() if item[1][0] <= at]
-        if len(done) > 1:
-            done.sort(key=_flat_completion)
-        for dline, entry in done:
-            del mq[dline]
-            if entry[1] != _RT_NOFILL:
-                cache_set = l1_sets[dline & l1_set_mask]
-                if dline not in cache_set:
-                    if len(cache_set) >= l1_assoc:
-                        cache_set.pop()
-                    cache_set.insert(0, dline)
-        nxt = _NEVER
-        for entry in mq.values():
-            if entry[0] < nxt:
-                nxt = entry[0]
-        nc = nxt
-        return len(done)
-
-    def issue_fills(at):
-        # L1Controller._issue_random_fills: probe / merge-upgrade /
-        # demand-reserve per queued request, head peeked not popped.
-        nonlocal nc, fills_blocked, rf_issued
-        while fill_queue:
-            head = fill_queue[0]
-            if head in l1_sets[head & l1_set_mask]:
-                del fill_queue[0]
-                continue
-            in_flight = mq_get(head)
-            if in_flight is not None:
-                del fill_queue[0]
-                if in_flight[1] == _RT_NOFILL:
-                    in_flight[1] = _RT_RANDOM_FILL
-                    rf_issued += 1
-                continue
-            if len(mq) >= fill_cap:
-                break
-            del fill_queue[0]
-            fill_at = l2_access(head, at)
-            rf_issued += 1
-            mq[head] = [fill_at, _RT_RANDOM_FILL]
-            if fill_at < nc:
-                nc = fill_at
-        fills_blocked = bool(fill_queue)
-
-    now = 0
-    charged: dict = {}
-    charged_get = charged.get
-    for line, step in zip(lines_l, steps_l):
-        now += step
-        if now >= nc:
-            drain(now)
-            fills_blocked = False
-        cache_set = l1_sets[line & l1_set_mask]
-        if line in cache_set:
-            hits += 1
-            if cache_set[0] != line:
-                cache_set.remove(line)
-                cache_set.insert(0, line)
-            if fill_queue and not fills_blocked:
-                issue_fills(now)
-            now += hit_cost
-            continue
-        in_flight = mq_get(line)
-        if in_flight is None and fill_queue and not fills_blocked:
-            # Queued random fills are older than this demand miss, so
-            # they claim MSHRs first — possibly turning it into a merge.
-            issue_fills(now)
-            in_flight = mq_get(line)
-        if in_flight is not None:
-            completion = in_flight[0]
-            if completion < now:
-                completion = now
-            if charged_get(line) == completion:
-                now += hit_cost
-            else:
-                charged[line] = completion
-                now += hit_cost
-                remaining = completion - now - credit
-                if remaining > 0:
-                    now += (remaining + mlp - 1) // mlp
-            if len(charged) >= prune_at:
-                charged = prune_charged(charged, now)
-                charged_get = charged.get
-            continue
-        stall = 0
-        access_now = now
-        if len(mq) >= mq_capacity:
-            stall = nc - now
-            if stall < 0:
-                stall = 0
-            access_now = now + stall
-            drain(access_now)
-            fills_blocked = False
-            if line in cache_set:
-                # The drained line was the one we wanted; charge only
-                # the hit (stall unused), with the LRU move.
-                hits += 1
-                if cache_set[0] != line:
-                    cache_set.remove(line)
-                    cache_set.insert(0, line)
-                now += hit_cost
-                continue
-        demand_misses += 1
-        if policy_kind == 2:
-            complete_at = l2_access(line, access_now)
-            mq[line] = [complete_at, _RT_NOFILL]
-            if complete_at < nc:
-                nc = complete_at
-            fills_blocked = False
-            fill_line = line + (draw() & rf_mask) - rf_a
-            if fill_queue:
-                # Parked requests are older; preserve FIFO order.
-                if fill_line >= 0 and len(fill_queue) < fill_queue_capacity:
-                    fill_queue.append(fill_line)
-                issue_fills(access_now)
-            elif fill_line < 0:
-                pass                 # window underflow: dropped
-            elif fill_line in l1_sets[fill_line & l1_set_mask]:
-                pass                 # already resident: dropped
-            else:
-                in_flight = mq_get(fill_line)
-                if in_flight is not None:
-                    if in_flight[1] == _RT_NOFILL:
-                        in_flight[1] = _RT_RANDOM_FILL
-                        rf_issued += 1
-                elif len(mq) >= fill_cap:
-                    fill_queue.append(fill_line)
-                    fills_blocked = True
-                else:
-                    fill_at = l2_access(fill_line, access_now)
-                    rf_issued += 1
-                    mq[fill_line] = [fill_at, _RT_RANDOM_FILL]
-                    if fill_at < nc:
-                        nc = fill_at
-        else:
-            complete_at = l2_access(line, access_now)
-            mq[line] = [complete_at, _RT_NORMAL]
-            if complete_at < nc:
-                nc = complete_at
-            fills_blocked = False
-            if fill_queue:
-                issue_fills(access_now)
-        charged[line] = complete_at
-        now += hit_cost + stall
-        remaining = complete_at - now - credit
-        if remaining > 0:
-            now += (remaining + mlp - 1) // mlp
-        if len(charged) >= prune_at:
-            charged = prune_charged(charged, now)
-            charged_get = charged.get
-
-    # End-of-run settle (L1Controller.settle with now=None): the issued
-    # fills and their L2/DRAM traffic count toward this run's totals.
-    while fill_queue or mq:
-        progressed = False
-        if mq:
-            horizon = nc if nc > 0 else 0
-            progressed = drain(horizon) > 0
-        if fill_queue and len(mq) < mq_capacity:
-            before = len(fill_queue)
-            issue_fills(0)
-            progressed = progressed or len(fill_queue) != before
-        if not progressed:       # pragma: no cover - defensive backstop
-            break
-
-    return SimResult(
-        instructions=instructions,
-        cycles=now,
-        l1_accesses=len(lines_l),
-        l1_hits=hits,
-        l1_demand_misses=demand_misses,
-        l2_accesses=l2_accesses,
-        l2_demand_misses=l2_misses,
-        memory_lines=memory_lines,
-        random_fill_issued=rf_issued,
-    )
-
-
-def _flat_completion(item):
-    """Sort key for retiring flat-kernel MSHR entries in completion order."""
-    return item[1][0]
-
-
 class TimingModel:
     """Drives one hardware thread's trace through an L1 controller."""
 

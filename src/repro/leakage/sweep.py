@@ -335,20 +335,19 @@ def run_leakage_sweep(
     jobs: Optional[int] = None,
     telemetry=None,
     progress: Optional[bool] = None,
-    batch: Optional[bool] = None,
 ) -> List[LeakageCellResult]:
     """Run a grid of leakage cells through the supervised runner.
 
     ``telemetry`` (a :class:`repro.runner.telemetry.Telemetry` or a
-    JSONL path), ``progress`` and ``batch`` are forwarded to
+    JSONL path) and ``progress`` are forwarded to
     :func:`repro.runner.pool.run_cells`; when ``None`` they inherit the
     enclosing :func:`repro.runner.pool.run_context`, which is how the
-    ``--telemetry`` (and ``--batch/--no-batch``) CLI flags reach this
-    sweep.
+    ``--telemetry`` CLI flag reaches this sweep.  Cells batch per
+    (channel, scheme) unless ``REPRO_LANES=0``.
     """
     # Load the attack code in this process: pool workers fork from it,
     # and would otherwise each import it again on every sweep.
     import repro.attacks.flush_reload  # noqa: F401
     from repro.runner.pool import run_cells
 
-    return run_cells(specs, jobs=jobs, telemetry=telemetry, progress=progress, batch=batch)
+    return run_cells(specs, jobs=jobs, telemetry=telemetry, progress=progress)

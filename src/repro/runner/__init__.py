@@ -14,11 +14,10 @@ This package turns a figure sweep into an explicit list of picklable
   ``REPRO_CELL_RETRIES`` knobs,
 * :mod:`repro.runner.batch` — batch planning and execution: pending
   cells sharing a ``batch_group_key()`` are grouped so one trace
-  decode serves the whole group (``--batch/--no-batch``,
-  ``REPRO_BATCH``), and eligible general-perf and crypto cells
-  advance together as lanes of one kernel call (``--lanes``,
-  ``REPRO_LANES``); a
-  failed batch splits back to supervised per-cell retries,
+  decode serves the whole group, and lowered general-perf and crypto
+  cells advance together as lanes of one kernel call, chunked at the
+  lane width (``--lanes``, ``REPRO_LANES``; width 0 plans no
+  batches); a failed batch splits back to supervised per-cell retries,
 * :mod:`repro.runner.telemetry` — JSONL event log of a run (cell
   start/finish/retry/timeout, pool restarts) and the live progress
   line behind ``--telemetry`` / the CLI,
@@ -44,7 +43,6 @@ from repro.runner.batch import (
     BatchItem,
     CellBatch,
     plan_batches,
-    resolve_batch,
     resolve_lanes,
     run_batch,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "read_events",
     "read_events_incremental",
     "record_bench",
-    "resolve_batch",
     "resolve_cell_retries",
     "resolve_cell_timeout",
     "resolve_jobs",

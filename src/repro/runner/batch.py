@@ -11,17 +11,17 @@ pool is *split* and its member cells requeued individually, where the
 ordinary per-cell retry/timeout machinery applies; each finished cell
 still lands in the result cache one by one.
 
-Batching is on by default and controlled by ``--batch/--no-batch`` or
-``REPRO_BATCH`` (:func:`resolve_batch`); checked mode (``REPRO_CHECK``)
-disables planning entirely so every cell takes the per-cell oracle
-path.  Within a ``"general"`` or ``"crypto"`` batch, eligible cells
-additionally advance together as *lanes* of one kernel call
-(:mod:`repro.cpu.lanes`), chunked at the lane width (``--lanes`` /
-``REPRO_LANES``, :func:`resolve_lanes`; below 2 every cell keeps the
-scalar flat kernel, or a width-1 lane call when it needs the lane
-kernel's hooks).  Results are bit-identical with batching and
-lanes on or off, for any jobs count or lane width, because both
-kernels are exact and chunk boundaries carry no state between cells.
+Batching follows the lane width (``--lanes`` / ``REPRO_LANES``,
+:func:`resolve_lanes`): width 0 plans no batches, so every cell runs
+through :func:`run_cell`, and any width >= 1 batches.  Checked mode
+(``REPRO_CHECK``) disables planning entirely so every cell takes the
+per-cell oracle path.  Within a ``"general"`` or ``"crypto"`` batch,
+every cell that lowers onto the lane kernel (:mod:`repro.cpu.lanes`)
+advances as a *lane* of one kernel call, chunked at the lane width; a
+chunk of one is a width-1 call, and cells that do not lower run
+through :func:`run_cell` inside the batch.  Results are bit-identical
+for any jobs count or lane width, 0 included, because the lane kernel
+is exact and chunk boundaries carry no state between cells.
 """
 
 from __future__ import annotations
@@ -47,31 +47,14 @@ MAX_BATCH = 32
 #: column setup; the cap bounds a split's blast radius like MAX_BATCH
 DEFAULT_LANES = 64
 
-#: ``REPRO_BATCH`` values that disable / enable batching
-_FALSE_VALUES = frozenset({"0", "off", "no", "false"})
-_TRUE_VALUES = frozenset({"1", "on", "yes", "true"})
-
-
-def resolve_batch(batch: Optional[bool] = None) -> bool:
-    """Batching switch: argument > ``REPRO_BATCH`` > on."""
-    if batch is not None:
-        return bool(batch)
-    env = os.environ.get("REPRO_BATCH", "").strip().lower()
-    if not env:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    if env in _TRUE_VALUES:
-        return True
-    raise ValueError(f"REPRO_BATCH must be a boolean flag (1/0/on/off/yes/no), got {env!r}")
-
 
 def resolve_lanes(lanes: Optional[int] = None) -> int:
     """Lane width: argument > ``REPRO_LANES`` > :data:`DEFAULT_LANES`.
 
-    A width below 2 (``REPRO_LANES=0`` or ``1``) disables lane
-    execution — batches still amortize decode but every member runs
-    the scalar flat kernel, exactly the PR 6 path.
+    Width 0 (``--lanes 0`` / ``REPRO_LANES=0``) turns batching off:
+    no batch is planned and every cell runs through :func:`run_cell`.
+    Width 1 still batches — members share the trace decode — but every
+    lowered cell takes its own width-1 lane call.
     """
     if lanes is None:
         env = os.environ.get("REPRO_LANES", "").strip()
@@ -135,14 +118,19 @@ def plan_batches(
     cells only — fully cached cells were short-circuited before
     planning and never reach here.
 
-    ``"general"`` and ``"crypto"`` groups chunk at the lane width
-    (:func:`resolve_lanes`) so one batch is one lane-kernel call; other
-    kinds keep the :data:`MAX_BATCH` cap.  With ``jobs`` workers the
+    Lane width 0 (:func:`resolve_lanes`) plans nothing: every pending
+    index comes back as a plain ``int``.  Otherwise ``"general"`` and
+    ``"crypto"`` groups chunk at a lane width of 2 or more so one batch
+    is one lane-kernel call; other kinds, and lane kinds at width 1,
+    keep the :data:`MAX_BATCH` cap.  With ``jobs`` workers the
     batch size is additionally capped at ``ceil(pending / jobs)`` so a
     small grid still spreads across the pool; at high jobs counts this
     degrades gracefully toward per-cell dispatch without affecting
     results.
     """
+    lane_width = resolve_lanes(lanes)
+    if not lane_width:
+        return list(pending)
     groups: "Dict[object, List[int]]" = {}
     singles: List[int] = []
     for index in pending:
@@ -157,7 +145,6 @@ def plan_batches(
         else:
             bucket.append(index)
 
-    lane_width = resolve_lanes(lanes)
     jobs_cap = None
     if jobs > 1:
         jobs_cap = max(1, -(-len(pending) // jobs))
@@ -194,16 +181,17 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
 
     Returns ``(results, metas, batch_meta)`` with one result + meta per
     cell in batch order.  ``"general"`` and ``"crypto"`` batches build
-    the shared group state once, then advance the eligible cells as
-    lanes of the lane kernel (:func:`repro.cpu.batch.run_lane_cells`),
+    the shared group state once, lower each cell
+    (:func:`repro.cpu.batch.lower_cell`), and advance every lowered
+    cell on the lane kernel (:func:`repro.cpu.batch.run_lane_cells`),
     grouped by their shared kernel parameters and chunked at the lane
-    width (:func:`resolve_lanes`; below 2, or alone in its chunk, an
-    eligible cell takes :func:`repro.cpu.batch.run_lowered_cell`).
-    Cells the kernels do not cover — and every cell when
-    ``REPRO_CHECK`` is active, as a belt-and-braces guard (the parent
-    already skips planning under checked mode) — fall back to
-    :func:`run_cell` individually inside the batch.  Any exception propagates whole: the supervisor splits
-    the batch and retries the cells one by one.
+    width (:func:`resolve_lanes`); a chunk of one is a width-1 call.
+    Cells the kernel does not cover — and every cell at lane width 0,
+    or when ``REPRO_CHECK`` is active, as a belt-and-braces guard (the
+    parent already skips planning in both cases) — fall back to
+    :func:`run_cell` individually inside the batch.  Any exception
+    propagates whole: the supervisor splits the batch and retries the
+    cells one by one.
 
     A lane call's wall time is attributed evenly across its member
     cells' ``worker_duration_s`` so per-cell latency stays meaningful.
@@ -213,37 +201,32 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        checked = check_rate_from_env() is not None
+        lane_width = resolve_lanes(lanes)
         shared = None
         lowered = [None] * len(batch.cells)
-        if batch.kind in LANE_KINDS and not checked:
-            from repro.cpu.batch import group_state_for, lower_cell
+        if batch.kind in LANE_KINDS and lane_width and check_rate_from_env() is None:
+            from repro.cpu.batch import group_state_for, lower_cell, run_lane_cells
             shared = group_state_for(batch.cells[0])
             lowered = [lower_cell(spec, shared) for spec in batch.cells]
-        lane_width = resolve_lanes(lanes)
 
-        # Lane plan: eligible cells sharing identical kernel parameters
+        # Lane plan: lowered cells sharing identical kernel parameters
         # advance together, chunked at the lane width.
-        lane_chunks: List[List[int]] = []
-        if shared is not None and lane_width >= MIN_BATCH:
-            by_params: "Dict[object, List[int]]" = {}
-            for i, low in enumerate(lowered):
-                if low is not None:
-                    by_params.setdefault(low.shared_key(), []).append(i)
-            for indices in by_params.values():
-                for start in range(0, len(indices), lane_width):
-                    chunk = indices[start : start + lane_width]
-                    if len(chunk) >= MIN_BATCH:
-                        lane_chunks.append(chunk)
+        by_params: "Dict[object, List[int]]" = {}
+        for i, low in enumerate(lowered):
+            if low is not None:
+                by_params.setdefault(low.shared_key(), []).append(i)
+        lane_chunks = [
+            indices[start : start + lane_width]
+            for indices in by_params.values()
+            for start in range(0, len(indices), lane_width)
+        ]
 
         results: List = [None] * len(batch.cells)
         metas: List = [None] * len(batch.cells)
         checks_before = check_totals()["checks_run"]
 
         vectorized = 0
-        laned = set()
         for chunk in lane_chunks:
-            from repro.cpu.batch import run_lane_cells
             started = time.perf_counter()
             lane_results = run_lane_cells(shared, [lowered[i] for i in chunk])
             share = (time.perf_counter() - started) / len(chunk)
@@ -254,26 +237,16 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
                 results[i] = result
                 metas[i] = meta
             vectorized += len(chunk)
-            laned.update(chunk)
 
-        kernel_cells = vectorized
         for i, spec in enumerate(batch.cells):
-            if i in laned:
+            if lowered[i] is not None:
                 continue
             started = time.perf_counter()
-            result = None
-            if lowered[i] is not None:
-                from repro.cpu.batch import run_lowered_cell
-                result = run_lowered_cell(shared, lowered[i])
-            amortized = result is not None
-            if result is None:
-                result = run_cell(spec)
-            kernel_cells += amortized
+            results[i] = run_cell(spec)
             meta = worker_meta(time.perf_counter() - started)
-            meta["batch_amortized_decode"] = amortized
-            results[i] = result
+            meta["batch_amortized_decode"] = False
             metas[i] = meta
-        batch_meta = {"decode_reuses": max(0, kernel_cells - 1)}
+        batch_meta = {"decode_reuses": max(0, vectorized - 1)}
         if shared is not None:
             from repro.cpu.lanes import take_native_fallback
             batch_meta["lane_width"] = lane_width

@@ -24,12 +24,12 @@ on or off and for any job count.
 
 Pending cells that share a ``batch_group_key()`` are additionally
 planned into **batches** (:mod:`repro.runner.batch`) — groups that
-share one trace decode and warm L2 replay through the flat kernel and
-are dispatched to a worker as one unit.  A failed, hung, or crashed
-batch is split and its cells retried individually; ``--no-batch`` /
-``REPRO_BATCH=0`` disables planning, and ``REPRO_CHECK`` always forces
-the per-cell path.  Batched results are bit-identical to per-cell
-results.
+share one trace decode and warm L2 replay, run their lowered cells on
+the lane kernel, and are dispatched to a worker as one unit.  A failed,
+hung, or crashed batch is split and its cells retried individually;
+``--lanes 0`` / ``REPRO_LANES=0`` disables planning, and
+``REPRO_CHECK`` always forces the per-cell path.  Batched results are
+bit-identical to per-cell results.
 
 The pool mode is supervised rather than a bare ``Executor.map``:
 
@@ -70,12 +70,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.check import CheckViolation, check_rate_from_env, check_totals
-from repro.runner.batch import (
-    BatchItem,
-    plan_batches,
-    resolve_batch,
-    run_batch,
-)
+from repro.runner.batch import BatchItem, plan_batches, run_batch
 from repro.runner.cells import run_cell
 from repro.runner.result_cache import RESULT_CACHE, ResultCache
 from repro.runner.telemetry import Telemetry, worker_meta
@@ -167,28 +162,25 @@ def _run_cell_task(spec):
 
 # -- run-wide defaults (CLI surface) -----------------------------------------
 
-_RUN_DEFAULTS: Dict[str, Optional[object]] = {"telemetry": None, "progress": None, "batch": None}
+_RUN_DEFAULTS: Dict[str, Optional[object]] = {"telemetry": None, "progress": None}
 
 
 @contextmanager
 def run_context(
     telemetry: Union[Telemetry, str, None] = None,
     progress: Optional[bool] = None,
-    batch: Optional[bool] = None,
 ):
-    """Scope default telemetry/progress/batching for nested
-    ``run_cells`` calls.
+    """Scope default telemetry/progress for nested ``run_cells`` calls.
 
     The CLI wraps a whole figure sweep in this so ``--telemetry PATH``
-    (and ``--batch/--no-batch``) reaches the ``run_cells`` buried
-    inside the experiment modules without threading a parameter through
-    every signature.
+    reaches the ``run_cells`` buried inside the experiment modules
+    without threading a parameter through every signature.
     """
     saved = dict(_RUN_DEFAULTS)
     owned = None
     if isinstance(telemetry, str):
         telemetry = owned = Telemetry(path=telemetry, progress=progress)
-    _RUN_DEFAULTS.update(telemetry=telemetry, progress=progress, batch=batch)
+    _RUN_DEFAULTS.update(telemetry=telemetry, progress=progress)
     try:
         yield telemetry
     finally:
@@ -557,7 +549,6 @@ def run_cells(
     retries: Optional[int] = None,
     telemetry: Union[Telemetry, str, None] = None,
     progress: Optional[bool] = None,
-    batch: Optional[bool] = None,
     stats_sink: Optional[Dict] = None,
 ) -> List:
     """Run every cell; returns results in the order of ``specs``.
@@ -565,15 +556,14 @@ def run_cells(
     Accepts :class:`CellSpec` instances or any other picklable spec
     :func:`run_cell` understands (specs with a ``run()`` method).
 
-    ``batch`` resolves argument > :func:`run_context` default >
-    ``REPRO_BATCH`` > on.  When on, pending cells whose specs share a
-    ``batch_group_key()`` are planned into :class:`CellBatch` work
-    items (:func:`repro.runner.batch.plan_batches`) and dispatched as
-    units; results are bit-identical either way.  Planning happens
-    *after* the per-cell result-cache check, so a fully cached grid
-    never plans a batch or touches a trace, and it is skipped entirely
-    under ``REPRO_CHECK`` so checked runs take the per-cell oracle
-    path.
+    Pending cells whose specs share a ``batch_group_key()`` are
+    planned into :class:`CellBatch` work items
+    (:func:`repro.runner.batch.plan_batches`) and dispatched as units,
+    unless the lane width (``REPRO_LANES``) is 0; results are
+    bit-identical either way.  Planning happens *after* the per-cell
+    result-cache check, so a fully cached grid never plans a batch or
+    touches a trace, and it is skipped entirely under ``REPRO_CHECK``
+    so checked runs take the per-cell oracle path.
 
     ``jobs`` follows :func:`resolve_jobs`; ``timeout`` and ``retries``
     follow :func:`resolve_cell_timeout` / :func:`resolve_cell_retries`
@@ -642,12 +632,9 @@ def run_cells(
             cache_misses += 1
             pending.append(i)
 
-        if batch is None:
-            batch = _RUN_DEFAULTS["batch"]
-        batching = resolve_batch(batch)
         work: List = list(pending)
         planned_batches = 0
-        if batching and len(pending) > 1 and check_rate_from_env() is None:
+        if len(pending) > 1 and check_rate_from_env() is None:
             work = plan_batches(specs, pending, jobs=jobs)
             planned_batches = sum(1 for item in work if type(item) is BatchItem)
 

@@ -9,8 +9,8 @@ hotspots instead of running the sweep.
 The cell executes inline (no worker pool, result cache bypassed) so the
 profile shows simulation cost, not IPC overhead or a cache hit.  When
 the sweep would run batched, the CLI profiles the first *batch* instead
-(:func:`profile_batch`) so the report reflects the shared-decode flat
-kernel the real run uses.
+(:func:`profile_batch`) so the report reflects the shared decode and
+lane kernel the real run uses.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def profile_batch(batch, top: int = DEFAULT_TOP, stream: Optional[io.TextIOBase]
     replay) plus every cell's kernel run — lane kernel calls included —
     i.e. exactly what a worker does for one batched work item.  For a
     lane-backed batch the report is prefixed with the lane summary
-    (width, vectorized vs scalar-fallback cells, kernel backend).
+    (width, vectorized vs per-cell fallback cells, kernel backend).
     """
     from repro.cpu import lanes
     from repro.runner.batch import run_batch
@@ -72,7 +72,7 @@ def profile_batch(batch, top: int = DEFAULT_TOP, stream: Optional[io.TextIOBase]
         buffer.write(
             f"lane kernel: width {batch_meta['lane_width']}, "
             f"{batch_meta['vectorized_cells']} vectorized / "
-            f"{batch_meta['scalar_fallback_cells']} scalar-fallback "
+            f"{batch_meta['scalar_fallback_cells']} per-cell fallback "
             f"cells, backend {backend}\n"
         )
     stats = pstats.Stats(profiler, stream=buffer)

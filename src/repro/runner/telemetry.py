@@ -14,8 +14,9 @@ vocabulary:
 * ``cell_finish``  — a cell completed: wall seconds, worker pid,
   worker max-RSS in KB; cells that ran inside a batch additionally
   carry ``batch_id``, ``batch_size`` and ``batch_amortized_decode``
-  (whether the cell went through the shared-decode flat kernel rather
-  than the per-cell fallback inside its batch);
+  (whether the cell ran on the shared-decode lane kernel rather than
+  through ``run_cell`` inside its batch); cells advanced by the lane
+  kernel also carry ``lane_width``, the width of their kernel call;
 * ``cell_retry``   — an attempt raised and the cell was requeued;
 * ``cell_timeout`` — an attempt exceeded ``REPRO_CELL_TIMEOUT``;
 * ``batch_start``  — a planned batch dispatched as one work item:
@@ -24,8 +25,8 @@ vocabulary:
   ``decode_reuses`` (cells beyond the first that shared the group's
   trace decode); lane-planned batches additionally carry
   ``lane_width`` (resolved width), ``vectorized_cells`` (members
-  advanced by the lane kernel) and ``scalar_fallback_cells`` (members
-  that kept the scalar per-cell path);
+  advanced by the lane kernel, width-1 calls included) and
+  ``scalar_fallback_cells`` (members that ran through ``run_cell``);
 * ``batch_split``  — a batch failed (worker exception or lost pool)
   and its member cells were requeued individually, with the reason and
   the error repr; the split itself charges no per-cell attempts — the

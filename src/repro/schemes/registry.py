@@ -15,8 +15,8 @@ to know about one secure-cache design:
 * **capability flags**: ``preload`` (PLcache-style setup routine),
   ``needs_protected`` (the timing build requires protected regions),
   ``lane_eligible`` / ``pow2_window_only`` (may the batch planner lower
-  cells of this scheme onto the flat/lane kernels, and under which
-  window shapes).
+  cells of this scheme onto the lane kernel, and under which window
+  shapes).
 
 Registering a spec (:func:`register`) makes the scheme available at
 once to the timing simulation (:func:`repro.experiments.schemes.build_scheme`),
@@ -97,7 +97,7 @@ class SchemeSpec:
     preload: bool = False
     #: the timing build requires protected regions
     needs_protected: bool = False
-    #: cells of this scheme may lower onto the flat/lane kernels
+    #: cells of this scheme may lower onto the lane kernel
     lane_eligible: bool = False
     #: lane lowering additionally requires a power-of-two window size
     pow2_window_only: bool = False

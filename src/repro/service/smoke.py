@@ -243,7 +243,7 @@ class ServerProcess:
         self.log_path = os.path.join(workdir, f"{name}.log")
         env = dict(os.environ)
         env["REPRO_RESULT_CACHE"] = os.path.join(workdir, "results")
-        env["REPRO_BATCH"] = "0"  # per-cell checkpoints: deterministic kill tail
+        env["REPRO_LANES"] = "0"  # per-cell checkpoints: deterministic kill tail
         env.pop("REPRO_CHAOS", None)
         if chaos is not None:
             env["REPRO_CHAOS"] = chaos

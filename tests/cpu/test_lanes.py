@@ -1,33 +1,35 @@
-"""Lane-kernel identity tests: lanes == scalar flat kernel, bit for bit.
+"""Lane-kernel identity tests: lanes == the per-cell path, bit for bit.
 
-The lane kernel (:mod:`repro.cpu.lanes`) advances every eligible cell
+The lane kernel (:mod:`repro.cpu.lanes`) advances every lowered cell
 of a batch group over one shared decoded trace.  Its only permitted
-observable difference from the scalar flat kernel is speed, so every
-test here compares :func:`run_lane_cells` /
-:func:`run_lanes_general` against per-cell
-:func:`run_lowered_cell` (``run_flat_general``) across schemes,
-windows, warm state, seeds and lane counts — on both the native C
-backend and the pure-Python fallback.  Crypto cells (Figures 6 and 7)
-compare against the per-cell object-model path (:func:`run_cell`):
-their lanes carry the PLcache preload's state and lock bits and the
-disable-cache bypass, which the flat kernel does not model.
+observable difference from running each cell on its own is speed, so
+every test here compares :func:`run_lane_cells` /
+:func:`run_lanes_general` against the per-cell path
+(:func:`run_cell`, or ``run_general_workload`` on a hand-built trace)
+across schemes, windows, warm state, seeds and lane counts — on both
+the native C backend and the pure-Python fallback.  Crypto cells
+(Figures 6 and 7) carry the PLcache preload's state and lock bits and
+the disable-cache bypass into their lanes.
 
 A random-fill lane draws from its cell's own RNG at each demand miss,
 so a run advances the lowered cell's RNG: every run below lowers its
 cells afresh, and :class:`TestInKernelDraws` pins the RNG state each
-kernel leaves behind.
+kernel — and the per-cell path — leaves behind.
 """
 
 import copy
+import dataclasses
 import os
 import shutil
 import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.schemes.builtin as builtin_schemes
 from repro.core.window import RandomFillWindow
 from repro.cpu import lanes as lanes_mod
 from repro.cpu.batch import (
@@ -36,7 +38,6 @@ from repro.cpu.batch import (
     lane_eligible,
     lower_cell,
     run_lane_cells,
-    run_lowered_cell,
 )
 from repro.cpu.lanes import (
     artifact_path,
@@ -88,8 +89,9 @@ def _crypto_lanes(specs, backend):
 
 
 def _group(benchmark, windows, warm, seed, n_refs=1200):
-    """Build one batch group: shared state + a function that lowers its
-    cells afresh (a run advances each lowered cell's RNG)."""
+    """Build one batch group: shared state, a function that lowers its
+    cells afresh (a run advances each lowered cell's RNG), and the
+    cell specs in lowering order."""
     specs = [CellSpec(kind="general", benchmark=benchmark,
                       scheme="random_fill", window=window, n_refs=n_refs,
                       seed=seed, warm=warm)
@@ -98,14 +100,14 @@ def _group(benchmark, windows, warm, seed, n_refs=1200):
                        scheme="baseline", window=(0, 0), n_refs=n_refs,
                        seed=seed, warm=warm)]
     shared = group_state_for(specs[0])
-    return shared, lambda: [lower_cell(spec, shared) for spec in specs]
+    return shared, lambda: [lower_cell(spec, shared) for spec in specs], specs
 
 
 def _run_lanes(shared, lowered, backend):
     first = lowered[0]
     cells = [lc.lane_cell() for lc in lowered]
     return run_lanes_general(
-        shared.lines, shared.steps, shared.instructions,
+        shared.line_array, shared.step_array, shared.instructions,
         l1_num_sets=first.l1_num_sets, l1_assoc=first.l1_assoc,
         l2_sets=shared.l2_sets_view(), l2_num_sets=shared.l2_num_sets,
         l2_assoc=shared.l2_assoc, l2_hit_latency=first.l2_hit_latency,
@@ -123,14 +125,13 @@ class TestLaneIdentity:
            warm=st.booleans(),
            seed=st.integers(min_value=0, max_value=3),
            benchmark=st.sampled_from(("astar", "lbm")))
-    def test_matches_scalar_flat_kernel(self, backend, windows, warm,
-                                        seed, benchmark):
-        shared, lower = _group(benchmark, windows, warm, seed)
+    def test_matches_per_cell(self, backend, windows, warm, seed,
+                              benchmark):
+        shared, lower, specs = _group(benchmark, windows, warm, seed)
         lowered = lower()
         assert all(lc is not None for lc in lowered)
-        scalar = [run_lowered_cell(shared, lc) for lc in lowered]
-        laned = _run_lanes(shared, lower(), backend)
-        assert laned == scalar
+        laned = _run_lanes(shared, lowered, backend)
+        assert laned == [_per_cell(spec) for spec in specs]
         assert lanes_mod.LAST_STATS["backend"] == backend
         assert lanes_mod.LAST_STATS["lanes"] == len(lowered)
 
@@ -138,31 +139,31 @@ class TestLaneIdentity:
     @pytest.mark.parametrize("n_lanes", [1, 2, 3, 7])
     def test_lane_count_never_changes_results(self, backend, n_lanes):
         # The same cell lowered N times must produce N identical
-        # results, each equal to its scalar run — lanes share read-only
-        # columns but no mutable state.
-        shared, lower = _group("astar", ((4, 3),), warm=False, seed=1)
-        scalar = run_lowered_cell(shared, lower()[0])
+        # results, each equal to its per-cell run — lanes share
+        # read-only columns but no mutable state.
+        shared, lower, specs = _group("astar", ((4, 3),), warm=False,
+                                      seed=1)
         laned = _run_lanes(shared, [lower()[0] for _ in range(n_lanes)],
                            backend)
-        assert laned == [scalar] * n_lanes
+        assert laned == [_per_cell(specs[0])] * n_lanes
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_lanes_cannot_share_an_rng(self, backend):
-        shared, lower = _group("astar", ((4, 3),), warm=False, seed=1)
+        shared, lower, _ = _group("astar", ((4, 3),), warm=False, seed=1)
         lowered = lower()[0]
         with pytest.raises(ValueError, match="share an RNG"):
             _run_lanes(shared, [lowered, lowered], backend)
 
     @pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on host")
     def test_backends_agree(self):
-        shared, lower = _group("lbm", POW2_WINDOWS, warm=True, seed=2)
+        shared, lower, _ = _group("lbm", POW2_WINDOWS, warm=True, seed=2)
         assert _run_lanes(shared, lower(), "python") == \
             _run_lanes(shared, lower(), "native")
 
     def test_mixed_group_fallback_cells_stay_scalar(self):
         # A (2, 2) window is not a power of two: it must fail lowering
-        # (scalar fallback inside the batch), while its pow2 siblings
-        # lane — and both paths agree with the per-cell kernel.
+        # (run_cell fallback inside the batch), while its pow2 siblings
+        # lane and agree with their per-cell runs.
         windows = ((4, 3), (2, 2), (0, 7))
         specs = [CellSpec(kind="general", benchmark="astar",
                           scheme="random_fill", window=window,
@@ -174,8 +175,7 @@ class TestLaneIdentity:
         eligible = [specs[0], specs[2]]
         laned = run_lane_cells(shared, [lower_cell(spec, shared)
                                         for spec in eligible])
-        assert laned == [run_lowered_cell(shared, lower_cell(spec, shared))
-                         for spec in eligible]
+        assert laned == [_per_cell(spec) for spec in eligible]
 
 
 class TestCryptoLaneIdentity:
@@ -214,8 +214,8 @@ class TestCryptoLaneIdentity:
         (spec,) = _crypto_specs(8 * 1024, 2, seed=1, schemes=(scheme,))
         shared = group_state_for(spec)
         lowered = lower_cell(spec, shared)
-        assert lowered.hooked
-        assert run_lowered_cell(shared, lowered) == _per_cell(spec)
+        assert lowered.l1_image or lowered.bypass    # a lane hook is set
+        assert run_lane_cells(shared, [lowered]) == [_per_cell(spec)]
         assert lanes_mod.LAST_STATS["lanes"] == 1
 
 
@@ -232,23 +232,37 @@ def _advanced(rng, draws):
     return twin
 
 
-def _every_kernel(spec, group):
-    """One cell through the native lanes, the Python lanes and the flat
-    kernel, each lowered afresh: ``[(result, rng after, rng before)]``."""
+def _every_kernel(spec, group, per_cell):
+    """One cell through the native lanes and the Python lanes, each
+    lowered afresh, then through ``per_cell`` (a zero-argument call of
+    the per-cell path) while recording the RNG its scheme build makes:
+    ``[(result, rng after, rng before)]``, the per-cell run last."""
     runs = []
-    for backend in BACKENDS + ["flat"]:
+    for backend in BACKENDS:
         lowered = lower_cell(spec, group)
         assert lowered is not None and lowered.policy_kind == 2
         start = copy.deepcopy(lowered.rng)
-        if backend == "flat":
-            result = run_lowered_cell(group, lowered)
-        else:
-            (result,) = _run_lanes(group, [lowered], backend)
+        (result,) = _run_lanes(group, [lowered], backend)
         runs.append((result, lowered.rng, start))
+    made = []
+    build = builtin_schemes.HardwareRng
+
+    def recording(*args, **kwargs):
+        rng = build(*args, **kwargs)
+        made.append((rng, copy.deepcopy(rng)))
+        return rng
+
+    with mock.patch.object(builtin_schemes, "HardwareRng", recording):
+        result = per_cell()
+    ((rng, start),) = made
+    runs.append((result, rng, start))
     return runs
 
 
-def _assert_draws_match(runs, reference):
+def _assert_draws_match(runs):
+    """Every run equals the per-cell one and left its RNG exactly
+    ``l1_demand_misses`` scalar draws further on."""
+    reference = runs[-1][0]
     for result, rng, start in runs:
         assert result == reference
         assert rng.word_state() == \
@@ -276,9 +290,9 @@ def _rng_factory(width, buffer_size, drawn):
 
 class TestInKernelDraws:
     """A random-fill lane draws from its cell's own RNG at each demand
-    miss: native lanes, Python lanes, the flat kernel and the per-cell
-    path agree bit for bit, and every kernel leaves the RNG where
-    ``l1_demand_misses`` scalar ``draw()`` calls leave it."""
+    miss: native lanes, Python lanes and the per-cell path agree bit for
+    bit, and each leaves the RNG where ``l1_demand_misses`` scalar
+    ``draw()`` calls leave it."""
 
     @settings(max_examples=25, deadline=None)
     @given(records=st.lists(st.tuples(st.integers(0, 300),
@@ -293,10 +307,10 @@ class TestInKernelDraws:
                         scheme="random_fill", window=window,
                         n_refs=len(trace), seed=seed, warm=warm)
         group = GeneralGroupState(trace, spec.config, warm)
-        reference = run_general_workload(
+        runs = _every_kernel(spec, group, lambda: run_general_workload(
             spec.benchmark, window, spec.config, seed=seed, trace=trace,
-            warm=warm)
-        _assert_draws_match(_every_kernel(spec, group), reference)
+            warm=warm))
+        _assert_draws_match(runs)
 
     def test_underflow_drops_are_exercised(self):
         # Every line misses once; with a = 31 most fills land below
@@ -306,11 +320,10 @@ class TestInKernelDraws:
                         scheme="random_fill", window=(31, 0), n_refs=24,
                         seed=5, warm=False)
         group = GeneralGroupState(trace, spec.config, warm=False)
-        runs = _every_kernel(spec, group)
-        reference = run_general_workload(
-            "astar", (31, 0), spec.config, seed=5, trace=trace, warm=False)
-        _assert_draws_match(runs, reference)
-        _result, _rng, start = runs[0]
+        runs = _every_kernel(spec, group, lambda: run_general_workload(
+            "astar", (31, 0), spec.config, seed=5, trace=trace, warm=False))
+        _assert_draws_match(runs)
+        reference, _rng, start = runs[-1]
         twin = copy.deepcopy(start)
         fills = [line + (twin.draw() & 31) - 31 for line in range(24)]
         assert reference.l1_demand_misses == 24
@@ -327,7 +340,8 @@ class TestInKernelDraws:
                         scheme="random_fill", window=window, n_refs=1200,
                         seed=seed, warm=warm)
         group = group_state_for(spec)
-        _assert_draws_match(_every_kernel(spec, group), _per_cell(spec))
+        _assert_draws_match(_every_kernel(spec, group,
+                                          lambda: run_cell(spec)))
 
     @pytest.mark.parametrize("width,buffer_size,drawn", [
         (8, 256, 37),        # buffer non-empty at lowering
@@ -352,7 +366,8 @@ class TestInKernelDraws:
             (width, buffer_size)
         assert len(lowered.rng.word_state()[2]) == \
             (buffer_size - drawn if drawn else 0)
-        _assert_draws_match(_every_kernel(spec, group), run_cell(spec))
+        _assert_draws_match(_every_kernel(spec, group,
+                                          lambda: run_cell(spec)))
 
     def test_wider_than_one_word_runs_per_cell(self, monkeypatch):
         monkeypatch.setattr("repro.schemes.builtin.HardwareRng",
@@ -366,7 +381,7 @@ class TestInKernelDraws:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rng_wider_than_one_word_is_rejected(self, backend):
-        shared, lower = _group("astar", ((4, 3),), warm=False, seed=1)
+        shared, lower, _ = _group("astar", ((4, 3),), warm=False, seed=1)
         lowered = lower()[0]
         lowered.rng = HardwareRng(1, width=33)
         with pytest.raises(ValueError, match="width"):
@@ -376,7 +391,7 @@ class TestInKernelDraws:
     def test_native_call_that_cannot_run_leaves_rng_untouched(self):
         # mq_capacity above the kernel's drain scratch bound: the C
         # entry refuses (-2) and no RNG may move.
-        shared, lower = _group("astar", ((4, 3),), warm=False, seed=0)
+        shared, lower, _ = _group("astar", ((4, 3),), warm=False, seed=0)
         lowered = lower()[0]
         before = lowered.rng.word_state()
         assert lanes_mod._run_native(
@@ -391,18 +406,18 @@ class TestInKernelDraws:
     def test_failed_native_call_then_python_fallback(self, monkeypatch):
         # A native call that scribbles over its state buffer and then
         # fails must hand nothing back: the Python fallback starts from
-        # the untouched stream and matches a clean scalar run.
+        # the untouched stream and matches a clean per-cell run.
         def failing(*args):
             args[6][0] = 12345           # state: the first lane's RNG block
             return -1
 
         monkeypatch.setattr(lanes_mod, "_native", lambda: failing)
-        shared, lower = _group("lbm", ((16, 15),), warm=True, seed=3)
+        shared, lower, specs = _group("lbm", ((16, 15),), warm=True, seed=3)
         lowered = lower()[0]
         start = copy.deepcopy(lowered.rng)
         (laned,) = _run_lanes(shared, [lowered], None)
         assert lanes_mod.LAST_STATS["backend"] == "python"
-        assert laned == run_lowered_cell(shared, lower()[0])
+        assert laned == _per_cell(specs[0])
         assert lowered.rng.word_state() == \
             _advanced(start, laned.l1_demand_misses).word_state()
 
@@ -465,33 +480,31 @@ class TestNativeArtifact:
 class TestLaneKnobs:
     def test_explicit_native_raises_without_compiler(self, monkeypatch):
         monkeypatch.setattr(lanes_mod, "_native", lambda: None)
-        shared, lower = _group("astar", ((0, 0),), warm=False, seed=0)
+        shared, lower, _ = _group("astar", ((0, 0),), warm=False, seed=0)
         with pytest.raises(RuntimeError, match="native"):
             _run_lanes(shared, lower(), "native")
 
     def test_unknown_backend_rejected(self):
-        shared, lower = _group("astar", ((0, 0),), warm=False, seed=0)
+        shared, lower, _ = _group("astar", ((0, 0),), warm=False, seed=0)
         with pytest.raises(ValueError, match="backend"):
             _run_lanes(shared, lower(), "cuda")
 
     def test_empty_lane_list_is_empty(self):
-        shared, _ = _group("astar", ((0, 0),), warm=False, seed=0)
+        shared, _, _ = _group("astar", ((0, 0),), warm=False, seed=0)
         assert run_lane_cells(shared, []) == []
 
     def test_big_mshr_falls_back_to_python(self):
         # The native kernel bounds its drain scratch at 64 MSHR
         # entries; a larger capacity must transparently take the
-        # Python lanes (backend=None auto-selection).
-        shared, lower = _group("astar", ((4, 3),), warm=False, seed=0)
-
-        def big():
-            lowered = lower()[0]
-            lowered.mq_capacity = 128
-            return lowered
-
-        laned = _run_lanes(shared, [big(), big()], None)
+        # Python lanes (backend=None auto-selection), and identity with
+        # the per-cell path still holds at that capacity.
+        config = dataclasses.replace(BASELINE_CONFIG, mshr_entries=128)
+        spec = CellSpec(kind="general", benchmark="astar",
+                        scheme="random_fill", window=(4, 3), n_refs=1200,
+                        seed=0, warm=False, config=config)
+        shared = group_state_for(spec)
+        lowered = [lower_cell(spec, shared) for _ in range(2)]
+        assert lowered[0].mq_capacity == 128
+        laned = run_lane_cells(shared, lowered)
         assert lanes_mod.LAST_STATS["backend"] == "python"
-        assert laned[0] == laned[1]
-        # Identity still holds at the bigger capacity: compare against
-        # the scalar kernel run with the same parameters.
-        assert laned[0] == run_lowered_cell(shared, big())
+        assert laned == [run_cell(spec)] * 2

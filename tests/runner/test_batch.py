@@ -1,14 +1,16 @@
 """Batched execution tests: planner, knobs, bit-identity, fault splits.
 
 The batched fast path must be invisible except in speed: every grid
-below is run with batching on and off (and across jobs counts) and the
-results compared for equality, the cache short-circuit is proven to
-never reach planning or trace decode, and fault-injected batches are
-shown to split back into the ordinary per-cell retry machinery.
+below is run with batching on and off (lane width 0 plans no batches)
+and across lane widths and jobs counts, and the results compared for
+equality, the cache short-circuit is proven to never reach planning or
+trace decode, and fault-injected batches are shown to split back into
+the ordinary per-cell retry machinery.
 """
 
 import os
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from repro.runner.batch import (
     BatchItem,
     CellBatch,
     plan_batches,
-    resolve_batch,
     run_batch,
 )
 from repro.runner.cells import CellSpec, run_cell
@@ -115,6 +116,12 @@ def _attempts(state_dir, tag):
                 if name.startswith(f"{tag}.")])
 
 
+def _run_at_width(specs, width, **kwargs):
+    """``run_cells`` with ``REPRO_LANES`` set to ``width`` (0: no batches)."""
+    with mock.patch.dict(os.environ, {"REPRO_LANES": str(width)}):
+        return run_cells(specs, **kwargs)
+
+
 @pytest.fixture
 def nocache():
     return ResultCache(disk_dir=None, use_default_disk_dir=False)
@@ -128,30 +135,42 @@ def state_dir(tmp_path):
 
 
 class TestResolveBatch:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch() is True
+    """Whether to batch resolves from the lane width: width 0
+    (``lanes=0`` or ``REPRO_LANES=0``) plans no batch, any width >= 1
+    batches."""
 
-    def test_env_off_values(self, monkeypatch):
-        for value in ("0", "off", "no", "false", " OFF "):
-            monkeypatch.setenv("REPRO_BATCH", value)
-            assert resolve_batch() is False
+    SPECS = [BatchSquareSpec(i) for i in range(4)]
+
+    def test_default_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_LANES", raising=False)
+        (item,) = plan_batches(self.SPECS, range(4))
+        assert item.indices == (0, 1, 2, 3)
+
+    def test_env_off_values(self, monkeypatch, nocache):
+        for value in ("0", " 0 "):
+            monkeypatch.setenv("REPRO_LANES", value)
+            assert plan_batches(self.SPECS, range(4)) == [0, 1, 2, 3]
+            assert run_cells(self.SPECS, jobs=1,
+                             result_cache=nocache) == [0, 1, 4, 9]
+            assert last_run_stats()["batches"] == 0
 
     def test_env_on_values(self, monkeypatch):
-        for value in ("1", "on", "yes", "true"):
-            monkeypatch.setenv("REPRO_BATCH", value)
-            assert resolve_batch() is True
+        for value in ("1", "2", "64"):
+            monkeypatch.setenv("REPRO_LANES", value)
+            (item,) = plan_batches(self.SPECS, range(4))
+            assert item.indices == (0, 1, 2, 3)
 
     def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert resolve_batch(True) is True
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert resolve_batch(False) is False
+        monkeypatch.setenv("REPRO_LANES", "0")
+        (item,) = plan_batches(self.SPECS, range(4), lanes=1)
+        assert item.indices == (0, 1, 2, 3)
+        monkeypatch.setenv("REPRO_LANES", "64")
+        assert plan_batches(self.SPECS, range(4), lanes=0) == [0, 1, 2, 3]
 
-    def test_garbage_env_raises_naming_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_BATCH"):
-            resolve_batch()
+    def test_garbage_env_raises_naming_variable(self, monkeypatch, nocache):
+        monkeypatch.setenv("REPRO_LANES", "sometimes")
+        with pytest.raises(ValueError, match="REPRO_LANES"):
+            run_cells(self.SPECS, jobs=1, result_cache=nocache)
 
 
 class TestPlanner:
@@ -233,9 +252,9 @@ class TestBatchedRun:
     def test_pooled_matches_unbatched(self, nocache):
         specs = [BatchSquareSpec(i, "a" if i < 4 else "b")
                  for i in range(8)]
-        plain = run_cells(specs, jobs=1, result_cache=nocache, batch=False)
+        plain = _run_at_width(specs, 0, jobs=1, result_cache=nocache)
         assert last_run_stats()["batches"] == 0
-        pooled = run_cells(specs, jobs=2, result_cache=nocache, batch=True)
+        pooled = _run_at_width(specs, 64, jobs=2, result_cache=nocache)
         assert last_run_stats()["batches"] >= 1
         assert plain == pooled == [i * i for i in range(8)]
 
@@ -321,23 +340,29 @@ class TestBitIdentity:
                            scheme=scheme, window=(0, 0), n_refs=1200,
                            seed=seed, warm=warm)
                   for scheme in ("baseline", "tagged_prefetch")]
-        batched = run_cells(specs, jobs=1, result_cache=nocache,
-                            batch=True)
+        batched = _run_at_width(specs, 64, jobs=1, result_cache=nocache)
         assert last_run_stats()["batches"] >= 1
-        percell = run_cells(specs, jobs=1, result_cache=nocache,
-                            batch=False)
+        percell = _run_at_width(specs, 0, jobs=1, result_cache=nocache)
         assert last_run_stats()["batches"] == 0
         assert batched == percell
 
     def test_general_grid_across_jobs(self):
+        # Lane widths 0 (no batches), 1, 2 and 64, inline and pooled.
         nocache = ResultCache(disk_dir=None, use_default_disk_dir=False)
         specs = [CellSpec(kind="general", benchmark="astar", window=window,
                           n_refs=1500, seed=0)
                  for window in WINDOWS]
-        runs = [run_cells(specs, jobs=jobs, result_cache=nocache,
-                          batch=batch)
-                for jobs in (1, 2) for batch in (True, False)]
-        assert all(run == runs[0] for run in runs[1:])
+        runs = {}
+        for jobs, width in ((1, 0), (1, 1), (1, 2), (1, 64), (2, 0),
+                            (2, 64)):
+            runs[jobs, width] = _run_at_width(specs, width, jobs=jobs,
+                                              result_cache=nocache)
+            stats = last_run_stats()
+            if width:
+                assert stats["batches"] >= 1
+            else:
+                assert stats["batches"] == 0
+        assert all(run == runs[1, 0] for run in runs.values())
 
     def test_leakage_grid(self):
         from repro.leakage.sweep import LeakageCellSpec, window_pair
@@ -345,15 +370,14 @@ class TestBitIdentity:
         specs = [LeakageCellSpec(channel="eq7", window=window_pair(size),
                                  trials=120, curve_repeats=10)
                  for size in (2, 4, 8)]
-        batched = run_cells(specs, jobs=1, result_cache=nocache,
-                            batch=True)
+        batched = _run_at_width(specs, 64, jobs=1, result_cache=nocache)
         assert last_run_stats()["batches"] == 1
-        percell = run_cells(specs, jobs=1, result_cache=nocache,
-                            batch=False)
+        percell = _run_at_width(specs, 0, jobs=1, result_cache=nocache)
+        assert last_run_stats()["batches"] == 0
         assert batched == percell
 
     def test_run_batch_mixed_eligibility(self):
-        # One group, four cells: two take the flat kernel, the
+        # One group, four cells: two run on the lane kernel, the
         # non-power-of-two window and the policy scheme fall back to
         # run_cell *inside* the batch — results identical either way.
         specs = [

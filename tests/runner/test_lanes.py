@@ -1,7 +1,8 @@
 """Lane execution through the runner: knobs, planner, telemetry, faults.
 
 Lane execution must be invisible except in speed: grids run with any
-lane width (including 0: the scalar PR 6 path) produce identical
+lane width (including 0: no batches, every cell through ``run_cell``,
+and 1: a width-1 kernel call per lowered cell) produce identical
 results, checked mode bypasses lane planning entirely, and a lane
 batch that hangs splits back into the ordinary per-cell retry
 machinery exactly like any other batch.
@@ -121,10 +122,11 @@ class TestResolveLanes:
         monkeypatch.setenv("REPRO_LANES", "8")
         assert resolve_lanes(3) == 3
 
-    def test_zero_and_one_disable(self, monkeypatch):
+    def test_zero_and_one_are_widths(self, monkeypatch):
+        # 0 turns batching off; 1 batches with one cell per kernel call
         for value in ("0", "1"):
             monkeypatch.setenv("REPRO_LANES", value)
-            assert resolve_lanes() < 2
+            assert resolve_lanes() == int(value)
 
     def test_garbage_env_raises_naming_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_LANES", "wide")
@@ -151,11 +153,16 @@ class TestLanePlanner:
         (item,) = items
         assert len(item.indices) == MAX_BATCH + 8
 
-    def test_disabled_lanes_keep_scalar_cap(self):
+    def test_width_one_keeps_max_batch_cap(self):
         specs = _general_specs(n=MAX_BATCH + 8)
-        items = plan_batches(specs, range(len(specs)), lanes=0)
+        items = plan_batches(specs, range(len(specs)), lanes=1)
         sizes = [len(i.indices) for i in items if isinstance(i, BatchItem)]
         assert sizes == [MAX_BATCH, 8]
+
+    def test_width_zero_plans_no_batches(self):
+        specs = _general_specs(n=MAX_BATCH + 8)
+        items = plan_batches(specs, range(len(specs)), lanes=0)
+        assert items == list(range(len(specs)))
 
     def test_crypto_groups_are_per_geometry(self):
         geometries = [(size * 1024, assoc) for size in (8, 16, 32)
@@ -191,14 +198,15 @@ class TestLaneRuns:
     def test_widths_are_bit_identical(self, nocache, monkeypatch):
         specs = _general_specs(n=6)
         runs = {}
-        for width in (0, 2, 3, 64):
+        for width in (0, 1, 2, 3, 64):
             monkeypatch.setenv("REPRO_LANES", str(width))
             runs[width] = run_cells(specs, jobs=1, result_cache=nocache)
             stats = last_run_stats()
-            if width >= 2:
+            if width:
                 assert stats["vectorized_cells"] == 6
                 assert stats["lane_width"] == width
             else:
+                assert stats["batches"] == 0
                 assert stats["vectorized_cells"] == 0
         assert all(r == runs[0] for r in runs.values())
 
@@ -216,8 +224,8 @@ class TestLaneRuns:
 
     def test_mixed_eligibility_batch(self, monkeypatch):
         # (2, 2) is not a power of two and the policy scheme never
-        # lowers: both fall back to the scalar path inside the lane
-        # batch, and every result matches its per-cell run.
+        # lowers: both run through run_cell inside the lane batch, and
+        # every result matches its per-cell run.
         specs = _general_specs(n=3) + [
             CellSpec(kind="general", benchmark="astar", window=(2, 2),
                      n_refs=1500, seed=0),
@@ -233,6 +241,17 @@ class TestLaneRuns:
         # Per-cell meta records the actual chunk size for laned members
         # and no lane field for fallbacks.
         assert [m.get("lane_width") for m in metas] == [3, 3, 3, None, None]
+        assert results == [run_cell(spec) for spec in specs]
+
+    def test_remainder_chunk_runs_as_width_one_lane(self):
+        # Three lowered cells at width 2: a two-lane call, then the
+        # remainder alone in a width-1 call — every cell on the kernel.
+        specs = _general_specs(n=3)
+        batch = CellBatch("b0", "general", tuple(specs))
+        results, metas, batch_meta = run_batch(batch, lanes=2)
+        assert batch_meta["vectorized_cells"] == 3
+        assert batch_meta["scalar_fallback_cells"] == 0
+        assert [m["lane_width"] for m in metas] == [2, 2, 1]
         assert results == [run_cell(spec) for spec in specs]
 
     def test_crypto_batch_with_ineligible_member(self):
@@ -251,17 +270,15 @@ class TestLaneRuns:
 
     def test_crypto_widths_are_bit_identical(self, nocache, monkeypatch):
         specs = _crypto_specs(((8 * 1024, 1), (32 * 1024, 4)), seed=2)
-        with_batching = {}
+        runs = {}
         for width in (0, 1, 2, 64):
             monkeypatch.setenv("REPRO_LANES", str(width))
-            with_batching[width] = run_cells(specs, jobs=1, result_cache=nocache)
+            runs[width] = run_cells(specs, jobs=1, result_cache=nocache)
             stats = last_run_stats()
-            assert stats["batched_cells"] == 8
-            assert stats["vectorized_cells"] == (8 if width >= 2 else 0)
-        unbatched = run_cells(specs, jobs=1, result_cache=nocache, batch=False)
-        assert last_run_stats()["batches"] == 0
-        assert all(r == unbatched for r in with_batching.values())
-        assert unbatched == [run_cell(spec) for spec in specs]
+            assert stats["batched_cells"] == (8 if width else 0)
+            assert stats["vectorized_cells"] == (8 if width else 0)
+        assert all(r == runs[0] for r in runs.values())
+        assert runs[0] == [run_cell(spec) for spec in specs]
 
     def test_lanes_fallback_event_once(self, nocache, monkeypatch, tmp_path):
         # A garbage artifact at the kernel's cache path: the run falls
