@@ -1,20 +1,25 @@
 """Differential-oracle run driver for checked simulation mode.
 
 :func:`checked_run` replaces ``TimingModel.run`` while a checker is
-installed.  It executes the *real* fast path in chunks of
-``checker.rate`` accesses — carrying the kernel's charge dict across
-chunk boundaries so the chunked execution is bit-identical to the
-monolithic one — and, between chunks:
+installed.  It runs the loop an unchecked run takes — the fused kernel
+or the object model, as ``TimingModel._plan`` chooses — in chunks of
+``checker.rate`` accesses, carrying the charge dict across chunk
+boundaries so the chunked execution is bit-identical to the monolithic
+one.  After every chunk, and again after the final settle, it:
 
 * advances the naive :class:`~repro.check.reference.ReferenceModel`
   over the same accesses and diffs the full machine state (cycle
   count, L1 sets / MSHR file / fill queue, L2 sets, DRAM bank state,
-  every stat counter) against the fast path, and
-* sweeps the :mod:`~repro.check.invariants` catalogue over the L1.
+  every stat counter) against the simulator, whenever
+  :meth:`~repro.check.reference.ReferenceModel.capture` models the
+  configuration, and
+* sweeps the :mod:`~repro.check.invariants` catalogue over the L1
+  (:meth:`~repro.check.Checker.validate_l1`).
 
 Configurations the reference does not interpret (Newcache, PLcache,
-locked contexts, exotic policies) still run chunked with the invariant
-sweep — they just skip the state diff.
+locked contexts, prefetchers, other policies) run on the object-model
+loop exactly as unchecked and get the invariant sweep without the
+state diff.
 
 The returned :class:`~repro.cpu.timing.SimResult` is bit-identical to
 an unchecked run of the same trace, so checked and unchecked results
@@ -45,25 +50,6 @@ def _snapshot(l1, l2) -> dict:
     base["dram_row_hits"] = getattr(dram, "row_hits", 0)
     base["dram_row_misses"] = getattr(dram, "row_misses", 0)
     return base
-
-
-def _result(model, base, instructions: int, cycles: int):
-    from repro.cpu.timing import SimResult
-
-    l1 = model.l1
-    l2 = l1.next_level
-    return SimResult(
-        instructions=instructions,
-        cycles=cycles,
-        l1_accesses=l1.stats.accesses - base["l1_accesses"],
-        l1_hits=l1.stats.hits - base["l1_hits"],
-        l1_demand_misses=l1.stats.demand_misses - base["l1_demand_misses"],
-        l2_accesses=l2.stats.accesses - base["l2_accesses"],
-        l2_demand_misses=l2.stats.demand_misses - base["l2_demand_misses"],
-        memory_lines=l2.dram.lines_transferred - base["dram_lines"],
-        random_fill_issued=(l1.stats.random_fill_issued
-                            - base["l1_random_fill_issued"]),
-    )
 
 
 def _diff_sets(kind: str, real_store, ref_sets, index: int) -> None:
@@ -135,86 +121,43 @@ def _diff_state(model, ref: ReferenceModel, now: int, base: dict,
 
 def checked_run(model, trace, ctx, start_cycle: int, checker: Checker):
     """Checked replacement for ``TimingModel.run`` (bit-identical)."""
-    from repro.cpu.timing import Trace
+    from repro.cpu.timing import result_since, stat_snapshot
 
     l1 = model.l1
-    l2 = l1.next_level
-    base = _snapshot(l1, l2)
-    chunk = checker.rate
-    if isinstance(trace, Trace):
-        instructions = trace.instruction_count
-        if model._fast_path_eligible(ctx):
-            decode = trace.decoded(l1._line_shift)
-            lines_l = decode.lines_list()
-            steps_l = decode.issue_steps(model.issue_width)
-            writes_l = decode.writes_list()
-            ref = ReferenceModel.capture(model, ctx)
-            return _run_fused(model, trace, lines_l, steps_l, writes_l, ctx,
-                              start_cycle, checker, ref, base, instructions)
-        records = trace.records()
-    else:
-        records = list(trace)
-        instructions = sum(gap for _addr, gap, _write in records)
-    return _run_records(model, records, ctx, start_cycle, checker, base,
-                        instructions)
-
-
-def _run_fused(model, trace, lines_l, steps_l, writes_l, ctx, start_cycle,
-               checker: Checker, ref: Optional[ReferenceModel], base,
-               instructions: int):
-    """Chunked fused kernel, with the oracle in lockstep when captured."""
-    l1 = model.l1
+    base = _snapshot(l1, l1.next_level)
+    counters = stat_snapshot(l1)
+    loop, lines, steps, writes = model._plan(trace, ctx)
+    ref = ReferenceModel.capture(model, ctx)
     if ref is not None:
         ref.now = start_cycle
         ref.checker = checker
-    carry = {"charged": {}}
     now = start_cycle
-    total = len(lines_l)
+    charged: dict = {}
+    total = len(lines)
     for lo in range(0, total, checker.rate):
         hi = min(lo + checker.rate, total)
-        result = model._run_columnar_fused(
-            trace, lines_l[lo:hi], steps_l[lo:hi], writes_l[lo:hi], ctx, now,
-            _carry=carry, _settle=False)
-        now += result.cycles
+        chunk = lines[lo:hi], steps[lo:hi], writes[lo:hi]
+        now, charged = loop(*chunk, ctx, now, charged)
+        if ref is not None:
+            ref.run_chunk(*chunk)
+        _validate(model, ref, now, base, checker, index=hi)
+    l1.settle()
+    if ref is not None:
+        ref.settle()
+    _validate(model, ref, now, base, checker, index=total)
+    return result_since(l1, counters, trace.instruction_count,
+                        now - start_cycle)
+
+
+def _validate(model, ref: Optional[ReferenceModel], now: int, base: dict,
+              checker: Checker, index: int) -> None:
+    """Diff against the reference when there is one, then sweep the
+    L1 invariants; each counts as one check."""
+    if ref is not None:
         checker.checks_run += 1
         try:
-            if ref is not None:
-                ref.run_chunk(lines_l[lo:hi], steps_l[lo:hi], writes_l[lo:hi])
-                _diff_state(model, ref, now, base, index=hi)
-            from repro.check import invariants
-
-            invariants.validate_l1(l1, index=hi)
+            _diff_state(model, ref, now, base, index)
         except CheckViolation:
             checker.violations += 1
             raise
-    l1.settle()
-    checker.checks_run += 1
-    try:
-        if ref is not None:
-            ref.settle()
-            _diff_state(model, ref, now, base, index=total)
-        from repro.check import invariants
-
-        invariants.validate_l1(l1, index=total)
-    except CheckViolation:
-        checker.violations += 1
-        raise
-    return _result(model, base, instructions, now - start_cycle)
-
-
-def _run_records(model, records, ctx, start_cycle, checker: Checker, base,
-                 instructions: int):
-    """Chunked per-record path with the invariant sweep (no oracle)."""
-    l1 = model.l1
-    carry = {"charged": {}, "backlog": 0}
-    now = start_cycle
-    total = len(records)
-    for lo in range(0, total, checker.rate):
-        hi = min(lo + checker.rate, total)
-        result = model._run_records(records[lo:hi], ctx, now,
-                                    _carry=carry, _settle=False)
-        now += result.cycles
-        checker.validate_l1(l1, index=hi)
-    l1.settle()
-    checker.validate_l1(l1, index=total)
-    return _result(model, base, instructions, now - start_cycle)
+    checker.validate_l1(model.l1, index=index)

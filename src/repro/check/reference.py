@@ -54,10 +54,11 @@ class ReferenceModel:
     def capture(cls, model, ctx) -> Optional["ReferenceModel"]:
         """Snapshot ``model`` into a reference machine, or None.
 
-        The caller guarantees fused-path eligibility; this narrows
-        further to the configurations the reference interprets: stock
-        LRU set-associative L1 and L2, stock DRAM, a demand-fetch or
-        random-fill policy, a hardware RNG, and no locked lines.
+        Returns None unless the reference interprets the
+        configuration: stock LRU set-associative L1 and L2, stock DRAM,
+        a demand-fetch or random-fill policy, a hardware RNG, no locked
+        lines and a context that neither locks nor unlocks.  Every
+        configuration it accepts is one the fused kernel runs.
         """
         from repro.cache.controller import DemandFetchPolicy
         from repro.cache.l2 import L2Cache
@@ -70,6 +71,8 @@ class ReferenceModel:
         l1 = model.l1
         l2 = l1.next_level
         policy = l1._policy
+        if ctx.lock or ctx.unlock:
+            return None
         if type(policy) not in (DemandFetchPolicy, RandomFillPolicy):
             return None
         if type(l2) is not L2Cache or type(l2.dram) is not DramModel:

@@ -7,8 +7,6 @@ from repro.cpu.trace import (
     MemRef,
     Trace,
     TraceRecord,
-    instruction_count,
-    materialize,
     validate_trace,
 )
 
@@ -20,8 +18,6 @@ __all__ = [
     "Trace",
     "TraceDecode",
     "TraceRecord",
-    "instruction_count",
-    "materialize",
     "run_smt",
     "validate_trace",
 ]

@@ -35,7 +35,8 @@ or a power-of-two random-fill window, plus two policy hooks: PLcache
 lock bits (a lock-aware victim choice) and the disable-cache scheme's
 L1 bypass of the protected lines.  Results are bit-identical to the
 per-cell path: the kernel is an exact transcription of the fused
-kernel plus settle, the warm replay mirrors ``warm_l2``, the snapshot
+kernel plus settle, the warm replay mirrors the L2 warm-up of
+``run_general_workload``, the snapshot
 is the object model's own post-setup state, and every lane draws from
 its cell's RNG at the same point the fused kernel does, leaving it
 where the per-cell run would.
@@ -102,9 +103,10 @@ class GeneralGroupState:
         self.instructions: int = measured.instruction_count
         self.l2_num_sets = _l2_num_sets(config)
         self.l2_assoc = config.l2_assoc
-        # Flat replay of warm_l2: access-or-fill per footprint line on
-        # MRU-first int lists (hits move to front, fills evict the LRU
-        # tail), matching SetAssociativeCache under LRU exactly.
+        # Flat replay of run_general_workload's L2 warm-up: access-or-
+        # fill per footprint line on MRU-first int lists (hits move to
+        # front, fills evict the LRU tail), matching SetAssociativeCache
+        # under LRU exactly.
         l2_mask = self.l2_num_sets - 1
         l2_assoc = self.l2_assoc
         sets: List[List[int]] = [[] for _ in range(self.l2_num_sets)]

@@ -30,8 +30,7 @@ class TraceDecode:
     after its first computation:
 
     * :meth:`lines` / :meth:`lines_list` — line address per record,
-    * :meth:`set_indices` / :meth:`tags` — placement for one tag-store
-      geometry,
+    * :meth:`writes_list` — the write flags as plain ints,
     * :meth:`issue_steps` — per-record cycle increment of the in-order
       issue front-end for one ``issue_width`` (the running
       ``backlog // width`` arithmetic collapsed into a cumsum diff),
@@ -40,8 +39,7 @@ class TraceDecode:
     """
 
     __slots__ = ("trace", "line_shift", "_lines", "_lines_list",
-                 "_gaps_list", "_writes_list", "_issue_steps",
-                 "_set_indices", "_tags", "_footprints")
+                 "_writes_list", "_issue_steps", "_footprints")
 
     def __init__(self, trace: Trace, line_shift: int):
         if line_shift < 0:
@@ -50,11 +48,8 @@ class TraceDecode:
         self.line_shift = line_shift
         self._lines: "np.ndarray | None" = None
         self._lines_list: "List[int] | None" = None
-        self._gaps_list: "List[int] | None" = None
         self._writes_list: "List[int] | None" = None
         self._issue_steps: Dict[int, List[int]] = {}
-        self._set_indices: Dict[int, np.ndarray] = {}
-        self._tags: Dict[int, np.ndarray] = {}
         self._footprints: Dict[int, List[int]] = {}
 
     # -- line addresses ------------------------------------------------------
@@ -71,33 +66,10 @@ class TraceDecode:
             self._lines_list = self.lines().tolist()
         return self._lines_list
 
-    def gaps_list(self) -> List[int]:
-        if self._gaps_list is None:
-            self._gaps_list = self.trace.gap.tolist()
-        return self._gaps_list
-
     def writes_list(self) -> List[int]:
         if self._writes_list is None:
             self._writes_list = self.trace.write.tolist()
         return self._writes_list
-
-    # -- placement -----------------------------------------------------------
-
-    def set_indices(self, num_sets: int) -> np.ndarray:
-        """Set index per record for a power-of-two ``num_sets`` geometry."""
-        cached = self._set_indices.get(num_sets)
-        if cached is None:
-            cached = self.lines() & (num_sets - 1)
-            self._set_indices[num_sets] = cached
-        return cached
-
-    def tags(self, num_sets: int) -> np.ndarray:
-        """Tag per record (line address above the set-index bits)."""
-        cached = self._tags.get(num_sets)
-        if cached is None:
-            cached = self.lines() >> (num_sets - 1).bit_length()
-            self._tags[num_sets] = cached
-        return cached
 
     # -- issue front-end -----------------------------------------------------
 
@@ -113,7 +85,11 @@ class TraceDecode:
         if issue_width < 1:
             raise ValueError(f"issue_width must be >= 1, got {issue_width}")
         issued = np.cumsum(self.trace.gap) // issue_width
-        return np.diff(issued, prepend=0)
+        # np.diff(issued, prepend=0), in half the numpy calls: per-call
+        # overhead dominates on the attack victims' short traces.
+        steps = issued.copy()
+        steps[1:] -= issued[:-1]
+        return steps
 
     def issue_steps(self, issue_width: int) -> List[int]:
         """:meth:`issue_step_array` as a list (memoized per width)."""

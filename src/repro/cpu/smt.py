@@ -25,6 +25,8 @@ from repro.cpu.timing import (
     SimResult,
     _MlpWindow,
     prune_charged,
+    result_since,
+    stat_snapshot,
 )
 from repro.cpu.trace import Trace, TraceRecord
 
@@ -79,12 +81,7 @@ def run_smt(l1: L1Controller, threads: Sequence[SmtThread],
         raise ValueError("run_smt needs at least one thread")
     if not any(not t.repeat for t in threads):
         raise ValueError("at least one thread must have a finite trace")
-    l2 = l1.next_level
-    l1_acc0, l1_hit0 = l1.stats.accesses, l1.stats.hits
-    l1_miss0 = l1.stats.demand_misses
-    l2_acc0, l2_miss0 = l2.stats.accesses, l2.stats.demand_misses
-    mem0 = l2.dram.lines_transferred
-    rf0 = l1.stats.random_fill_issued
+    base = stat_snapshot(l1)
 
     # Each SMT thread gets half the core's MSHR-level parallelism.
     mlp = max(1, l1.miss_queue.capacity // 2)
@@ -125,31 +122,10 @@ def run_smt(l1: L1Controller, threads: Sequence[SmtThread],
             # Bound per-thread charge tracking exactly as TimingModel.run
             # does: stale completions never change timing.
             state.charged = prune_charged(state.charged, state.now)
-    for state in states:
-        state.now = state.window.settle(state.now)
     l1.settle()
 
-    shared = SimResult(
-        instructions=0, cycles=0,
-        l1_accesses=l1.stats.accesses - l1_acc0,
-        l1_hits=l1.stats.hits - l1_hit0,
-        l1_demand_misses=l1.stats.demand_misses - l1_miss0,
-        l2_accesses=l2.stats.accesses - l2_acc0,
-        l2_demand_misses=l2.stats.demand_misses - l2_miss0,
-        memory_lines=l2.dram.lines_transferred - mem0,
-        random_fill_issued=l1.stats.random_fill_issued - rf0,
-    )
-    results = []
-    for i, state in enumerate(states):
-        results.append(SimResult(
-            instructions=state.instructions,
-            cycles=state.now,
-            l1_accesses=shared.l1_accesses if i == 0 else 0,
-            l1_hits=shared.l1_hits if i == 0 else 0,
-            l1_demand_misses=shared.l1_demand_misses if i == 0 else 0,
-            l2_accesses=shared.l2_accesses if i == 0 else 0,
-            l2_demand_misses=shared.l2_demand_misses if i == 0 else 0,
-            memory_lines=shared.memory_lines if i == 0 else 0,
-            random_fill_issued=shared.random_fill_issued if i == 0 else 0,
-        ))
+    first = states[0]
+    results = [result_since(l1, base, first.instructions, first.now)]
+    results += [SimResult(state.instructions, state.now, 0, 0, 0, 0, 0, 0)
+                for state in states[1:]]
     return results

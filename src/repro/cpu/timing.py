@@ -25,7 +25,7 @@ behaviour, which is modelled faithfully.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro import check as _check
 from repro.cache.context import AccessContext, DEFAULT_CONTEXT
@@ -83,6 +83,25 @@ def prune_charged(charged: dict, now: int) -> dict:
     return {line: ready for line, ready in charged.items() if ready > now}
 
 
+def stat_snapshot(l1: L1Controller) -> Tuple[int, ...]:
+    """The counters a :class:`SimResult` reports, in its field order:
+    L1 accesses / hits / demand misses, L2 accesses / demand misses,
+    DRAM lines transferred and random fills issued."""
+    l2 = l1.next_level
+    stats = l1.stats
+    return (stats.accesses, stats.hits, stats.demand_misses,
+            l2.stats.accesses, l2.stats.demand_misses,
+            l2.dram.lines_transferred, stats.random_fill_issued)
+
+
+def result_since(l1: L1Controller, base: Tuple[int, ...], instructions: int,
+                 cycles: int) -> SimResult:
+    """A :class:`SimResult` whose counters are the change since
+    ``base = stat_snapshot(l1)``."""
+    return SimResult(instructions, cycles,
+                     *[now - then for now, then in zip(stat_snapshot(l1), base)])
+
+
 class _MlpWindow:
     """Amortized cost model for overlapping demand misses.
 
@@ -109,10 +128,6 @@ class _MlpWindow:
             return now
         return now + (remaining + self.limit - 1) // self.limit
 
-    def settle(self, now: int) -> int:
-        """End of run; amortized charging has no deferred stalls."""
-        return now
-
 
 class TimingModel:
     """Drives one hardware thread's trace through an L1 controller."""
@@ -138,113 +153,53 @@ class TimingModel:
             start_cycle: int = 0) -> SimResult:
         """Run a trace to completion; counters are deltas for this run.
 
-        A columnar :class:`~repro.cpu.trace.Trace` takes the batched
-        path (pre-decoded line addresses and issue-cycle steps, and —
-        for the stock set-associative/LRU configuration — a fused
-        access kernel); any other iterable of ``(addr, gap, write)``
-        records takes the per-record path.  Both produce bit-identical
-        results for equal traces.
+        Any iterable of ``(addr, gap, write)`` records is converted to a
+        columnar :class:`~repro.cpu.trace.Trace` here, once (a ``Trace``
+        passes through).  The trace is then decoded for the L1 geometry
+        and driven through one loop (:meth:`_plan`): the fused kernel
+        for the stock set-associative/LRU configuration, else the
+        object model, which dispatches every access through the L1
+        controller.
 
         With a checker installed (``REPRO_CHECK``, see
         :mod:`repro.check`) the run is delegated to the checked driver,
-        which executes the same kernels in sampled chunks with the
-        invariant sanitizer and — for the fused configuration — the
-        differential oracle in lockstep.  Checked results are
-        bit-identical to unchecked ones.
+        which runs the same loop in sampled chunks with the invariant
+        sanitizer and — where the reference interpreter models the
+        configuration — the differential oracle in lockstep.  Checked
+        results are bit-identical to unchecked ones.
         """
+        trace = Trace.from_records(trace)
         checker = _check.active_checker()
         if checker is not None:
             from repro.check.oracle import checked_run
 
             return checked_run(self, trace, ctx, start_cycle, checker)
-        if isinstance(trace, Trace):
-            return self._run_columnar(trace, ctx, start_cycle)
-        return self._run_records(trace, ctx, start_cycle)
-
-    def _run_records(self, trace: Iterable[TraceRecord],
-                     ctx: AccessContext = DEFAULT_CONTEXT,
-                     start_cycle: int = 0, _carry: Optional[dict] = None,
-                     _settle: bool = True) -> SimResult:
         l1 = self.l1
-        l2 = l1.next_level
-        width = self.issue_width
-        hit_cost = l1.hit_latency
-        window = _MlpWindow(self.mlp, self.overlap_credit)
-        # The loop below is the simulator's innermost kernel; everything
-        # it touches per record is hoisted into locals, and the MLP
-        # charging arithmetic of _MlpWindow.note_miss is inlined.
-        access = l1.access
-        mlp = self.mlp
-        credit = self.overlap_credit
-        prune_at = CHARGED_PRUNE_THRESHOLD
+        base = stat_snapshot(l1)
+        loop, lines, steps, writes = self._plan(trace, ctx)
+        now, _charged = loop(lines, steps, writes, ctx, start_cycle, {})
+        l1.settle()
+        return result_since(l1, base, trace.instruction_count,
+                            now - start_cycle)
 
-        l1_acc0 = l1.stats.accesses
-        l1_hit0 = l1.stats.hits
-        l1_miss0 = l1.stats.demand_misses
-        l2_acc0 = l2.stats.accesses
-        l2_miss0 = l2.stats.demand_misses
-        mem0 = l2.dram.lines_transferred
-        rf0 = l1.stats.random_fill_issued
+    def _plan(self, trace: Trace, ctx: AccessContext):
+        """Decode ``trace`` once and pick the loop that runs it.
 
-        write_ctx = AccessContext(thread_id=ctx.thread_id, domain=ctx.domain,
-                                  critical=ctx.critical, is_write=True)
-        now = start_cycle
-        instructions = 0
-        # Fractional issue cycles accumulate so four 1-gap records cost
-        # one cycle, not four.  The checked driver runs this kernel in
-        # chunks and threads the backlog (and the charge dict below)
-        # through ``_carry`` so chunked execution stays bit-identical.
-        issue_backlog = 0 if _carry is None else _carry["backlog"]
-        # line -> completion already charged, so a burst of references
-        # to one in-flight line pays its wait only once — but the FIRST
-        # reference to a line someone else fetched (e.g. a too-late
-        # next-line prefetch) pays the remaining latency.  Pruned once
-        # it exceeds CHARGED_PRUNE_THRESHOLD entries so it cannot grow
-        # with every unique line of a long trace.
-        charged: dict = {} if _carry is None else _carry["charged"]
-        for addr, gap, write in trace:
-            instructions += gap
-            issue_backlog += gap
-            now += issue_backlog // width
-            issue_backlog %= width
-            result = access(addr, now, write_ctx if write else ctx)
-            if result.l1_hit:
-                now += hit_cost
-            elif result.merged:
-                completion = result.ready_at - hit_cost
-                if charged.get(result.line_addr) == completion:
-                    now += hit_cost
-                else:
-                    charged[result.line_addr] = completion
-                    now += hit_cost
-                    remaining = completion - now - credit
-                    if remaining > 0:
-                        now += (remaining + mlp - 1) // mlp
-            else:
-                charged[result.line_addr] = result.ready_at
-                now += hit_cost + result.stalled_for_mshr
-                remaining = result.ready_at - now - credit
-                if remaining > 0:
-                    now += (remaining + mlp - 1) // mlp
-            if len(charged) >= prune_at:
-                charged = prune_charged(charged, now)
-        if _carry is not None:
-            _carry["charged"] = charged
-            _carry["backlog"] = issue_backlog
-        if _settle:
-            now = window.settle(now)
-            l1.settle()
-        return SimResult(
-            instructions=instructions,
-            cycles=now - start_cycle,
-            l1_accesses=l1.stats.accesses - l1_acc0,
-            l1_hits=l1.stats.hits - l1_hit0,
-            l1_demand_misses=l1.stats.demand_misses - l1_miss0,
-            l2_accesses=l2.stats.accesses - l2_acc0,
-            l2_demand_misses=l2.stats.demand_misses - l2_miss0,
-            memory_lines=l2.dram.lines_transferred - mem0,
-            random_fill_issued=l1.stats.random_fill_issued - rf0,
-        )
+        Returns ``(loop, lines, steps, writes)``: the fused kernel when
+        :meth:`_fast_path_eligible` holds, else the object-model loop,
+        plus the per-record line addresses, issue-cycle steps and write
+        flags as plain lists.  Either loop is called as ``loop(lines,
+        steps, writes, ctx, now, charged)`` and returns the cycle after
+        its last record together with the charge dict (a prune replaces
+        it), so consecutive slices of one trace run bit-identically to
+        a single call — checked mode relies on this.  Settling the
+        controller at the end of the run is the caller's job.
+        """
+        decode = trace.decoded(self.l1._line_shift)
+        loop = (self._run_columnar_fused if self._fast_path_eligible(ctx)
+                else self._run_object_model)
+        return (loop, decode.lines_list(), decode.issue_steps(self.issue_width),
+                decode.writes_list())
 
     def _fast_path_eligible(self, ctx: AccessContext) -> bool:
         """True when the fused kernel may replace per-access dispatch.
@@ -254,7 +209,7 @@ class TimingModel:
         with no ``bypass``/``on_hit`` overrides, and a context without
         lock/unlock side effects.  This covers the baseline and every
         random-fill window; PLcache, Newcache, the prefetcher and the
-        disable-cache scheme fall back to the per-record dispatch.
+        disable-cache scheme run on the object-model loop.
         """
         l1 = self.l1
         return (type(l1.tag_store) is SetAssociativeCache
@@ -263,37 +218,33 @@ class TimingModel:
                 and l1._policy_on_hit is None
                 and not ctx.lock and not ctx.unlock)
 
-    def _run_columnar(self, trace: Trace, ctx: AccessContext,
-                      start_cycle: int) -> SimResult:
-        """Batched run: consume pre-decoded columns instead of records."""
+    def _run_object_model(self, lines_l, steps_l, writes_l,
+                          ctx: AccessContext, now: int,
+                          charged: dict) -> Tuple[int, dict]:
+        """Object-model loop: every access goes through
+        :meth:`L1Controller.access_line`, so any tag store, fill policy
+        or context hook takes part (PLcache, Newcache, prefetchers, the
+        disable-cache bypass and every other scheme the fused kernel
+        does not inline)."""
         l1 = self.l1
-        decode = trace.decoded(l1._line_shift)
-        lines_l = decode.lines_list()
-        steps_l = decode.issue_steps(self.issue_width)
-        writes_l = decode.writes_list()
-        if self._fast_path_eligible(ctx):
-            return self._run_columnar_fused(trace, lines_l, steps_l,
-                                            writes_l, ctx, start_cycle)
-        l2 = l1.next_level
         hit_cost = l1.hit_latency
-        window = _MlpWindow(self.mlp, self.overlap_credit)
+        # Everything the loop touches per record is hoisted into locals,
+        # and the MLP charging arithmetic of _MlpWindow.note_miss is
+        # inlined.
         access_line = l1.access_line
         mlp = self.mlp
         credit = self.overlap_credit
         prune_at = CHARGED_PRUNE_THRESHOLD
 
-        l1_acc0 = l1.stats.accesses
-        l1_hit0 = l1.stats.hits
-        l1_miss0 = l1.stats.demand_misses
-        l2_acc0 = l2.stats.accesses
-        l2_miss0 = l2.stats.demand_misses
-        mem0 = l2.dram.lines_transferred
-        rf0 = l1.stats.random_fill_issued
-
         write_ctx = AccessContext(thread_id=ctx.thread_id, domain=ctx.domain,
                                   critical=ctx.critical, is_write=True)
-        now = start_cycle
-        charged: dict = {}
+        # ``charged`` maps line -> completion already charged, so a
+        # burst of references to one in-flight line pays its wait only
+        # once — but the FIRST reference to a line someone else fetched
+        # (e.g. a too-late next-line prefetch) pays the remaining
+        # latency.  Pruned once it exceeds CHARGED_PRUNE_THRESHOLD
+        # entries so it cannot grow with every unique line of a long
+        # trace.
         for line, step, write in zip(lines_l, steps_l, writes_l):
             now += step
             result = access_line(line, now, write_ctx if write else ctx)
@@ -317,24 +268,11 @@ class TimingModel:
                     now += (remaining + mlp - 1) // mlp
             if len(charged) >= prune_at:
                 charged = prune_charged(charged, now)
-        now = window.settle(now)
-        l1.settle()
-        return SimResult(
-            instructions=trace.instruction_count,
-            cycles=now - start_cycle,
-            l1_accesses=l1.stats.accesses - l1_acc0,
-            l1_hits=l1.stats.hits - l1_hit0,
-            l1_demand_misses=l1.stats.demand_misses - l1_miss0,
-            l2_accesses=l2.stats.accesses - l2_acc0,
-            l2_demand_misses=l2.stats.demand_misses - l2_miss0,
-            memory_lines=l2.dram.lines_transferred - mem0,
-            random_fill_issued=l1.stats.random_fill_issued - rf0,
-        )
+        return now, charged
 
-    def _run_columnar_fused(self, trace: Trace, lines_l, steps_l, writes_l,
-                            ctx: AccessContext, start_cycle: int,
-                            _carry: Optional[dict] = None,
-                            _settle: bool = True) -> SimResult:
+    def _run_columnar_fused(self, lines_l, steps_l, writes_l,
+                            ctx: AccessContext, now: int,
+                            charged: dict) -> Tuple[int, dict]:
         """Fused kernel: controller access inlined into the timing loop.
 
         Replicates ``L1Controller.access_line`` + the MLP charging
@@ -345,9 +283,10 @@ class TimingModel:
         ``_fills_blocked`` flag are refreshed after every operation
         that can move them (drain / fill issue / allocate), so the
         controller object stays consistent for the settle phase and for
-        any later per-record accesses.
+        any later accesses.
 
-        Two deliberate divergences from per-record bookkeeping, both
+        Two deliberate divergences from the object model's bookkeeping,
+        both
         result-invisible: ``stats.accesses``/``stats.hits`` are added
         in one batch at the end (nothing reads them mid-run), and the
         ``charged`` prune check is skipped on hit records (hits never
@@ -356,9 +295,7 @@ class TimingModel:
         ``CHARGED_PRUNE_THRESHOLD``).
         """
         l1 = self.l1
-        l2 = l1.next_level
         hit_cost = l1.hit_latency
-        window = _MlpWindow(self.mlp, self.overlap_credit)
         mlp = self.mlp
         credit = self.overlap_credit
         prune_at = CHARGED_PRUNE_THRESHOLD
@@ -380,15 +317,6 @@ class TimingModel:
         l2_access = l1._l2_access
         fill_queue = l1.fill_queue
         stats = l1.stats
-        l2_stats = l2.stats
-
-        l1_acc0 = stats.accesses
-        l1_hit0 = stats.hits
-        l1_miss0 = stats.demand_misses
-        l2_acc0 = l2_stats.accesses
-        l2_miss0 = l2_stats.demand_misses
-        mem0 = l2.dram.lines_transferred
-        rf0 = stats.random_fill_issued
 
         # Specialize the demand-miss path by fill policy.  Kind 1 is a
         # plain NORMAL miss with no extra fills (demand fetch, or random
@@ -430,11 +358,6 @@ class TimingModel:
 
         write_ctx = AccessContext(thread_id=ctx.thread_id, domain=ctx.domain,
                                   critical=ctx.critical, is_write=True)
-        now = start_cycle
-        # The checked driver runs this kernel chunk by chunk; the charge
-        # dict is threaded through ``_carry`` (prunes replace the dict,
-        # so the holder is re-read on entry and written back on exit).
-        charged: dict = {} if _carry is None else _carry["charged"]
         charged_get = charged.get
         hits_local = 0
         nc = miss_queue.next_completion
@@ -591,19 +514,4 @@ class TimingModel:
         stats.next_level_requests += nlr
         stats.random_fill_issued += rf_issued
         stats.random_fill_dropped += rf_dropped
-        if _carry is not None:
-            _carry["charged"] = charged
-        if _settle:
-            now = window.settle(now)
-            l1.settle()
-        return SimResult(
-            instructions=trace.instruction_count,
-            cycles=now - start_cycle,
-            l1_accesses=stats.accesses - l1_acc0,
-            l1_hits=stats.hits - l1_hit0,
-            l1_demand_misses=stats.demand_misses - l1_miss0,
-            l2_accesses=l2_stats.accesses - l2_acc0,
-            l2_demand_misses=l2_stats.demand_misses - l2_miss0,
-            memory_lines=l2.dram.lines_transferred - mem0,
-            random_fill_issued=stats.random_fill_issued - rf0,
-        )
+        return now, charged

@@ -48,13 +48,13 @@ def make_cbc_trace(message_kb: int = 32, seed: int = 0,
     ciphertext, trace = aes.encrypt_cbc_traced(data, iv)
     if not decrypt_too:
         return trace
-    chunks = [trace]
+    records = list(trace)
     for i in range(0, len(ciphertext), 16):
         block = ciphertext[i:i + 16]
         _, block_trace = aes.decrypt_block_traced(
             block, message_offset=(i * 2) % 0x8000)
-        chunks.append(block_trace)
-    return Trace.concat(chunks)
+        records.extend(block_trace)
+    return Trace.from_records(records)
 
 
 #: bump whenever :func:`make_cbc_trace` changes output for the same

@@ -12,9 +12,7 @@ the streaming benchmarks.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.profiling import ProfileResult
@@ -72,68 +70,6 @@ class GeneralPerfPoint:
         return window_label(*self.window)
 
 
-#: Memo of warm-prefix line footprints, keyed by trace identity (the
-#: stored trace reference keeps the id valid; an id reused by a *new*
-#: object fails the identity check and recomputes).  A Figure 10 sweep
-#: warms the same trace once per window, so the dedup scan — pure
-#: function of the trace — is shared across cells.
-_WARM_FOOTPRINTS: "OrderedDict[tuple, tuple]" = OrderedDict()
-_WARM_FOOTPRINTS_MAX = 8
-
-
-def _warm_footprint(trace, split: int, line_bits: int) -> List[int]:
-    """Consecutive-deduped line addresses of ``trace[:split]``.
-
-    Columnar traces delegate to the vectorized (and trace-memoized)
-    :meth:`repro.cpu.decode.TraceDecode.warm_footprint`; the scan below
-    serves ad-hoc record lists.
-    """
-    if isinstance(trace, Trace):
-        return trace.decoded(line_bits).warm_footprint(split)
-    key = (id(trace), split, line_bits)
-    memo = _WARM_FOOTPRINTS
-    hit = memo.get(key)
-    if hit is not None and hit[0] is trace:
-        memo.move_to_end(key)
-        return hit[1]
-    lines: List[int] = []
-    append = lines.append
-    seen_last = -1
-    for addr, _gap, _write in islice(trace, split):
-        line = addr >> line_bits
-        if line != seen_last:
-            seen_last = line
-            append(line)
-    memo[key] = (trace, lines)
-    while len(memo) > _WARM_FOOTPRINTS_MAX:
-        memo.popitem(last=False)
-    return lines
-
-
-def warm_l2(scheme, trace) -> None:
-    """Pre-warm the L2 with a trace prefix's line footprint.
-
-    The paper's SPEC runs cover two billion instructions, so the L2 is
-    in steady state for virtually the whole measurement.  Our traces
-    are shorter, so the measured portion is preceded by a warm-up
-    prefix that is replayed functionally into the L2: reused working
-    sets become resident (as they would be), while touch-once streams
-    leave the yet-unvisited region cold (as it would be).
-    """
-    store = scheme.hierarchy.l2.tag_store
-    line_bits = scheme.config.line_size.bit_length() - 1
-    access = store.access
-    fill = store.fill
-    seen_last = -1
-    for addr, _gap, _write in trace:
-        line = addr >> line_bits
-        if line == seen_last:
-            continue
-        seen_last = line
-        if not access(line):
-            fill(line)
-
-
 def run_general_workload(benchmark: str, window: Tuple[int, int],
                          config: SimulatorConfig = BASELINE_CONFIG,
                          n_refs: int = 100_000, seed: int = 0,
@@ -144,6 +80,16 @@ def run_general_workload(benchmark: str, window: Tuple[int, int],
     "We insert the system call for setting the range registers ... at
     the beginning of the program, which essentially enables random fill
     for all the memory accesses."
+
+    ``trace`` defaults to the cached workload; any other record
+    iterable is converted to a :class:`Trace` once.  With ``warm`` the
+    first half of the trace warms the L2 and the second half is
+    measured.  The paper's SPEC runs cover two billion instructions, so
+    its L2 is in steady state for virtually the whole measurement; our
+    traces are shorter, so the warm-up prefix's line footprint is
+    replayed functionally into the L2: reused working sets become
+    resident (as they would be), while touch-once streams leave the
+    yet-unvisited region cold (as it would be).
     """
     a, b = window
     scheme = build_scheme(scheme_name, config, seed=seed)
@@ -151,24 +97,21 @@ def run_general_workload(benchmark: str, window: Tuple[int, int],
         scheme.os.set_rr(a, b)
     if trace is None:
         trace = cached_workload(benchmark, n_refs=n_refs, seed=seed)
+    trace = Trace.from_records(trace)
     if warm:
-        # Warm on the first half, measure the second — reused working
-        # sets are resident, touch-once stream fronts stay cold.  The
-        # measured half is a zero-copy view (columnar slice, memoized
-        # on the shared trace so every window cell of a sweep reuses
-        # one view and its decode) or an islice for record lists; the
-        # trace may be shared through the trace cache and must not be
-        # duplicated (or mutated) per cell.
+        # The footprint and the measured half are memoized on the
+        # trace, so every window cell of a sweep reuses one zero-copy
+        # view and its decode; the trace may be shared through the
+        # trace cache and must not be duplicated (or mutated) per cell.
         split = len(trace) // 2
         store = scheme.hierarchy.l2.tag_store
-        line_bits = scheme.config.line_size.bit_length() - 1
+        line_shift = scheme.config.line_size.bit_length() - 1
         access = store.access
         fill = store.fill
-        for line in _warm_footprint(trace, split, line_bits):
+        for line in trace.decoded(line_shift).warm_footprint(split):
             if not access(line):
                 fill(line)
-        trace = trace[split:] if isinstance(trace, Trace) \
-            else islice(trace, split, None)
+        trace = trace[split:]
     timing = TimingModel(scheme.l1, issue_width=config.issue_width,
                          overlap_credit=config.overlap_credit)
     return timing.run(trace)

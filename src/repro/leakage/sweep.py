@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.channel_capacity import channel_capacity_bits
 from repro.core.window import RandomFillWindow
-from repro.leakage.adapters import LEAKAGE_SCHEMES, RANDOM_FILL_SCHEMES
+from repro.leakage.adapters import LEAKAGE_SCHEMES
 from repro.leakage.estimators import (
     JointCounts,
     conditional_guessing_entropy,

@@ -19,9 +19,12 @@ per-cell oracle path.  Within a ``"general"`` or ``"crypto"`` batch,
 every cell that lowers onto the lane kernel (:mod:`repro.cpu.lanes`)
 advances as a *lane* of one kernel call, chunked at the lane width; a
 chunk of one is a width-1 call, and cells that do not lower run
-through :func:`run_cell` inside the batch.  Results are bit-identical
-for any jobs count or lane width, 0 included, because the lane kernel
-is exact and chunk boundaries carry no state between cells.
+through :func:`run_cell` inside the batch.  The planner keeps a lane
+kind's leftover chunk of one cell as a one-cell batch, so that cell too
+runs as a width-1 lane call; other kinds run a leftover singleton as a
+plain cell.  Results are bit-identical for any jobs count or lane
+width, 0 included, because the lane kernel is exact and chunk
+boundaries carry no state between cells.
 """
 
 from __future__ import annotations
@@ -34,7 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.runner.cells import LANE_KINDS, run_cell
 from repro.runner.telemetry import worker_meta
 
-#: smallest group worth batching — a singleton is just a cell
+#: smallest chunk worth batching for kinds that only amortize dispatch
+#: (a singleton is just a cell), and the smallest lane width that caps
+#: a lane-kind chunk.  A ``"general"``/``"crypto"`` chunk of one still
+#: forms a batch: its cell lowers onto a width-1 lane call, which beats
+#: the per-cell path's own decode, warm replay and fused kernel
 MIN_BATCH = 2
 
 #: largest batch submitted as one work item; bounds the blast radius of
@@ -122,7 +129,9 @@ def plan_batches(
     index comes back as a plain ``int``.  Otherwise ``"general"`` and
     ``"crypto"`` groups chunk at a lane width of 2 or more so one batch
     is one lane-kernel call; other kinds, and lane kinds at width 1,
-    keep the :data:`MAX_BATCH` cap.  With ``jobs`` workers the
+    keep the :data:`MAX_BATCH` cap.  A chunk smaller than
+    :data:`MIN_BATCH` stays a (one-cell) batch for the lane kinds and
+    becomes a plain index for the others.  With ``jobs`` workers the
     batch size is additionally capped at ``ceil(pending / jobs)`` so a
     small grid still spreads across the pool; at high jobs counts this
     degrades gracefully toward per-cell dispatch without affecting
@@ -160,7 +169,7 @@ def plan_batches(
             max_batch = min(max_batch, jobs_cap)
         for start in range(0, len(indices), max_batch):
             chunk = indices[start : start + max_batch]
-            if len(chunk) < MIN_BATCH:
+            if len(chunk) < MIN_BATCH and kind not in LANE_KINDS:
                 items.extend(chunk)
                 continue
             batch = CellBatch(

@@ -74,6 +74,7 @@ from repro.runner.batch import BatchItem, plan_batches, run_batch
 from repro.runner.cells import run_cell
 from repro.runner.result_cache import RESULT_CACHE, ResultCache
 from repro.runner.telemetry import Telemetry, worker_meta
+from repro.util.stats import percentile
 
 #: statistics of the most recent ``run_cells`` call in this process
 _LAST_RUN: Dict[str, float] = {}
@@ -188,12 +189,6 @@ def run_context(
         _RUN_DEFAULTS.update(saved)
         if owned is not None:
             owned.close()
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
-    rank = max(0, min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
 
 
 class _Supervisor:
@@ -691,8 +686,8 @@ def run_cells(
                 lane_width=sup.counters["lane_width"],
                 vectorized_cells=sup.counters["vectorized_cells"],
                 scalar_fallback_cells=sup.counters["scalar_fallback_cells"],
-                latency_p50_s=_percentile(ordered, 0.50) if ordered else 0.0,
-                latency_p95_s=_percentile(ordered, 0.95) if ordered else 0.0,
+                latency_p50_s=percentile(ordered, 0.50),
+                latency_p95_s=percentile(ordered, 0.95),
             )
             if stats_sink is not None:
                 stats_sink.update(_LAST_RUN)

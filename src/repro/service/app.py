@@ -60,6 +60,7 @@ from repro.service.http import (
     read_request,
 )
 from repro.service.sweeps import ServiceConfig, ServiceError, SweepService
+from repro.util.stats import percentile
 
 #: how often the event streamer polls the JSONL file for new lines
 _EVENT_POLL_S = 0.05
@@ -118,11 +119,7 @@ class ServiceApp:
         latencies = sorted(self._latencies)
         http = {"count": len(latencies)}
         for name, q in (("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99)):
-            if latencies:
-                rank = min(len(latencies) - 1, int(round(q * (len(latencies) - 1))))
-                http[name] = round(latencies[rank], 6)
-            else:
-                http[name] = 0.0
+            http[name] = round(percentile(latencies, q), 6)
         payload["http_latency"] = http
         return json_response(200, payload)
 

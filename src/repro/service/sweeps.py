@@ -46,6 +46,7 @@ from repro.service.codec import SpecValidationError, decode_sweep, encode_result
 from repro.service.journal import SweepJournal, journal_path, load_payload_specs
 from repro.service.ratelimit import ClientQuotas
 from repro.service.store import DiskResultStore, ResultStore
+from repro.util.stats import percentile
 
 
 @dataclass
@@ -232,6 +233,15 @@ class SweepService:
                 "journal_unavailable",
                 f"cannot journal the sweep (spool write failed): {error}",
             ) from None
+        # The prologue row goes first: the runner may start, and even
+        # finish, the sweep before submit() returns.
+        self._emit(
+            events_path,
+            "sweep_submitted",
+            sweep=sweep_id,
+            cells=len(specs),
+            client=client,
+        )
         try:
             handle = self.runner.submit(
                 specs,
@@ -242,6 +252,10 @@ class SweepService:
                 progress=False,
             )
         except JobQueueFull as error:
+            try:
+                os.remove(events_path)  # the sweep was never accepted
+            except OSError:
+                pass
             self._journal_advisory("cancelled", sweep_id, reason="queue_full")
             self.quotas.account_rejected(client)
             self._reject(client, "queue_full", queue_depth=self.runner.queue_depth)
@@ -252,13 +266,6 @@ class SweepService:
                 queue_depth=self.runner.queue_depth,
             ) from None
         self.quotas.account_accepted(client, len(specs))
-        self._emit(
-            events_path,
-            "sweep_submitted",
-            sweep=sweep_id,
-            cells=len(specs),
-            client=client,
-        )
         sweep = Sweep(
             sweep_id=sweep_id,
             handle=handle,
@@ -504,11 +511,7 @@ class SweepService:
             seconds = sorted(self._sweep_seconds)
         latency = {"count": len(seconds)}
         for name, q in (("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99)):
-            if seconds:
-                rank = min(len(seconds) - 1, int(round(q * (len(seconds) - 1))))
-                latency[name] = round(seconds[rank], 6)
-            else:
-                latency[name] = 0.0
+            latency[name] = round(percentile(seconds, q), 6)
         with self._lock:
             recovery = {
                 "recovered_sweeps": self._recovered_sweeps,

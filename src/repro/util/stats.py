@@ -31,6 +31,19 @@ def sample_variance(values: Sequence[float]) -> float:
     return sum((v - m) ** 2 for v in values) / (len(values) - 1)
 
 
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` (in [0, 1]) of a sorted sequence.
+
+    The rank is ``round(q * (n - 1))``, so the result is always one of
+    the values (no interpolation); an empty sequence gives 0.0.  Used
+    for the runner's and the service's latency percentiles.
+    """
+    if not sorted_values:
+        return 0.0
+    rank = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
+    return sorted_values[rank]
+
+
 def welch_t(a: Sequence[float], b: Sequence[float]) -> float:
     """Welch's t statistic between two samples.
 

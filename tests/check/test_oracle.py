@@ -71,7 +71,8 @@ class TestCleanEquivalence:
             assert result == baseline, f"rate={rate}"
 
     def test_tuple_list_trace_checked(self):
-        """Non-Trace input takes the chunked per-record path."""
+        """A record list becomes a Trace as it enters ``run`` and is
+        checked like one: the fused kernel with the oracle in lockstep."""
         records = _records(1500, seed=4)
         unchecked = _simulate("random_fill", (4, 3),
                               Trace.from_records(records), seed=3)

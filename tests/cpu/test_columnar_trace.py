@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.decode import TraceDecode
-from repro.cpu.trace import (
-    MemRef,
-    Trace,
-    instruction_count,
-    materialize,
-    validate_trace,
-)
+from repro.cpu.trace import MemRef, Trace, validate_trace
 
 RECORDS = [(0, 1, 0), (64, 2, 1), (128, 4, 0), (64, 1, 0), (4096, 3, 1)]
 
@@ -48,17 +42,12 @@ class TestConstruction:
     def test_bad_record_shape_rejected(self):
         with pytest.raises(ValueError):
             Trace.from_records([(1, 2)])
-
-    def test_concat_mixes_traces_and_lists(self):
-        merged = Trace.concat([Trace.from_records(RECORDS[:2]), RECORDS[2:]])
-        assert merged == Trace.from_records(RECORDS)
-
-    def test_concat_single_chunk_is_identity(self):
-        trace = Trace.from_records(RECORDS)
-        assert Trace.concat([trace]) is trace
-
-    def test_concat_empty(self):
-        assert len(Trace.concat([])) == 0
+        # Mixed arities are rejected even when the field count happens
+        # to be a multiple of three.
+        with pytest.raises(ValueError):
+            Trace.from_records([(1, 2), (3, 4, 5, 6)])
+        with pytest.raises(ValueError):
+            Trace.from_records([(1, 2, 0), (3, 4)])
 
 
 class TestSequenceProtocol:
@@ -107,14 +96,12 @@ class TestDerivedData:
     def test_instruction_count(self):
         trace = Trace.from_records(RECORDS)
         assert trace.instruction_count == sum(r[1] for r in RECORDS)
-        # Module-level helper agrees on both representations.
-        assert instruction_count(trace) == instruction_count(RECORDS)
+        assert trace[2:].instruction_count == sum(r[1] for r in RECORDS[2:])
 
     def test_records_memoized(self):
         trace = Trace.from_records(RECORDS)
         assert trace.records() is trace.records()
         assert trace.records() == RECORDS
-        assert materialize(trace) == RECORDS
 
     def test_fingerprint_stable_across_routes(self):
         a = Trace.from_records(RECORDS)
@@ -159,17 +146,7 @@ class TestTraceDecode:
         expected = [r[0] >> self.LINE_SHIFT for r in RECORDS]
         assert decode.lines().tolist() == expected
         assert decode.lines_list() == expected
-        assert decode.gaps_list() == [r[1] for r in RECORDS]
         assert decode.writes_list() == [r[2] for r in RECORDS]
-
-    def test_set_indices_and_tags(self):
-        decode = self.decode()
-        num_sets = 8
-        lines = decode.lines_list()
-        assert decode.set_indices(num_sets).tolist() == \
-            [line % num_sets for line in lines]
-        assert decode.tags(num_sets).tolist() == \
-            [line // num_sets for line in lines]
 
     def test_issue_steps_match_scalar_recurrence(self):
         gaps = [1, 7, 3, 4, 12, 1, 1, 5]

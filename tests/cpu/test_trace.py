@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cpu.trace import (
-    MemRef,
-    instruction_count,
-    materialize,
-    validate_trace,
-)
+from repro.cpu.trace import MemRef, Trace, validate_trace
 
 
 class TestMemRef:
@@ -44,9 +39,12 @@ class TestValidate:
 
 
 class TestHelpers:
+    """Record lists become a columnar ``Trace`` with
+    :meth:`Trace.from_records`; the trace answers for them."""
+
     def test_instruction_count(self):
-        assert instruction_count([(0, 3, 0), (64, 5, 1)]) == 8
+        assert Trace.from_records([(0, 3, 0), (64, 5, 1)]).instruction_count == 8
 
     def test_materialize(self):
         gen = ((i, 1, 0) for i in range(3))
-        assert materialize(gen) == [(0, 1, 0), (1, 1, 0), (2, 1, 0)]
+        assert Trace.from_records(gen) == [(0, 1, 0), (1, 1, 0), (2, 1, 0)]

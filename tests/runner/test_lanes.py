@@ -142,9 +142,20 @@ class TestLanePlanner:
     def test_general_groups_chunk_at_lane_width(self):
         specs = _general_specs(n=7)
         items = plan_batches(specs, range(len(specs)), lanes=3)
-        sizes = [len(i.indices) for i in items if isinstance(i, BatchItem)]
-        assert sizes == [3, 3]          # 7 cells -> 3 + 3 + 1 unbatched
-        assert items[-1] == 6
+        # 7 cells -> 3 + 3 + a one-cell batch (a width-1 lane call)
+        assert all(isinstance(i, BatchItem) for i in items)
+        assert [i.indices for i in items] == [(0, 1, 2), (3, 4, 5), (6,)]
+        assert items[-1].batch.kind == "general"
+
+    def test_lane_kind_singletons_stay_batches(self):
+        # Below MIN_BATCH a lane-kind chunk is still a batch, whether it
+        # is a group's leftover or a jobs-capped chunk of one.
+        specs = _general_specs(n=3)
+        items = plan_batches(specs, range(3), lanes=2)
+        assert [i.indices for i in items] == [(0, 1), (2,)]
+        items = plan_batches(specs, range(3), jobs=3, lanes=64)
+        assert [i.indices for i in items] == [(0,), (1,), (2,)]
+        assert all(i.batch.kind == "general" for i in items)
 
     def test_width_can_exceed_max_batch(self):
         specs = _general_specs(n=MAX_BATCH + 8)
@@ -174,8 +185,8 @@ class TestLanePlanner:
             tuple(range(g * 4, g * 4 + 4)) for g in range(9)]
         # Chunked at the lane width like general groups: 4 -> 3 + 1.
         items = plan_batches(specs[:4], range(4), lanes=3)
-        assert [i.indices for i in items if isinstance(i, BatchItem)] == [(0, 1, 2)]
-        assert items[-1] == 3
+        assert [i.indices for i in items] == [(0, 1, 2), (3,)]
+        assert items[-1].batch.kind == "crypto"
 
     def test_non_general_kinds_keep_scalar_cap(self):
         class SquareSpec:
@@ -242,6 +253,19 @@ class TestLaneRuns:
         # and no lane field for fallbacks.
         assert [m.get("lane_width") for m in metas] == [3, 3, 3, None, None]
         assert results == [run_cell(spec) for spec in specs]
+
+    def test_leftover_cell_of_a_grid_runs_on_a_lane(self, nocache,
+                                                    monkeypatch):
+        # Five cells at width 2 plan as 2 + 2 + 1: the leftover cell is
+        # a one-cell batch on a width-1 lane call, not a per-cell run.
+        specs = _general_specs(n=5)
+        monkeypatch.setenv("REPRO_LANES", "0")
+        per_cell = run_cells(specs, jobs=1, result_cache=nocache)
+        monkeypatch.setenv("REPRO_LANES", "2")
+        assert run_cells(specs, jobs=1, result_cache=nocache) == per_cell
+        stats = last_run_stats()
+        assert stats["batches"] == 3
+        assert stats["vectorized_cells"] == 5
 
     def test_remainder_chunk_runs_as_width_one_lane(self):
         # Three lowered cells at width 2: a two-lane call, then the

@@ -9,6 +9,7 @@ reported, and a drain hands the queue to the next process intact.
 """
 
 import os
+import time
 
 import pytest
 
@@ -197,6 +198,30 @@ class TestJournalFirstSubmission:
         finally:
             service.shutdown()
 
+    def test_submitted_row_leads_when_the_job_finishes_first(self, tmp_path):
+        service = build_service(tmp_path)
+        submit = service.runner.submit
+
+        def settle_before_returning(*args, **kwargs):
+            # The job runner may start, and even finish, a small sweep
+            # before submit() returns; force that order every time.
+            job = submit(*args, **kwargs)
+            deadline = time.monotonic() + 120
+            while not job.settled:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            return job
+
+        service.runner.submit = settle_before_returning
+        try:
+            accepted = service.submit(encode_sweep(eq7_grid(n=1, seed0=85)), client="c")
+            events = read_events(service.get(accepted["id"]).events_path)
+            names = [event["event"] for event in events]
+            assert names[0] == "sweep_submitted"
+            assert names[-1] == "sweep_finish"
+        finally:
+            service.shutdown()
+
     def test_queue_full_leaves_compensating_cancel(self, tmp_path):
         service = build_service(tmp_path, queue_depth=1)
         try:
@@ -214,6 +239,11 @@ class TestJournalFirstSubmission:
             live = {s.sweep_id for s in service.journal.replay().live}
             assert queued["id"] in live
             assert len(live) == 2  # running + queued; the refused one is terminal
+            # ... and the refused sweep leaves no event log behind.
+            logs = [name for name in os.listdir(service.spool_dir)
+                    if name.startswith("sweep-")]
+            assert sorted(logs) == sorted(f"sweep-{sweep_id}.jsonl"
+                                          for sweep_id in (running["id"], queued["id"]))
         finally:
             service.shutdown()
 

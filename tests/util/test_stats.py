@@ -6,6 +6,7 @@ import pytest
 from repro.util.stats import (
     mean,
     normal_quantile,
+    percentile,
     population_variance,
     sample_variance,
     welch_t,
@@ -62,3 +63,19 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 normal_quantile(bad)
+
+
+class TestPercentile:
+    def test_nearest_rank(self):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 0.50) == 3.0
+        assert percentile(values, 0.95) == 5.0     # rank round(3.8) = 4
+        assert percentile(values, 1.0) == 5.0
+
+    def test_never_interpolates(self):
+        assert percentile([1.0, 2.0], 0.50) in (1.0, 2.0)
+        assert percentile([10.0, 20.0, 30.0], 0.70) == 20.0   # round(1.4)
+
+    def test_empty_is_zero(self):
+        assert percentile([], 0.95) == 0.0
