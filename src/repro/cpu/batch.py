@@ -327,8 +327,9 @@ def _lower(spec) -> Optional[LoweredCell]:
     return lowered
 
 
-def lower_cell(spec, group: GeneralGroupState) -> Optional[LoweredCell]:
-    """Lower one cell onto kernel parameters, or ``None`` if ineligible.
+def lower_cell(spec, config) -> Optional[LoweredCell]:
+    """Lower one cell onto kernel parameters, or ``None`` if ineligible
+    or if its configuration is not ``config``, its batch group's.
 
     The cell's scheme is built and set up exactly as
     ``run_general_workload`` / ``run_crypto_workload`` build it (same
@@ -339,7 +340,7 @@ def lower_cell(spec, group: GeneralGroupState) -> Optional[LoweredCell]:
     object-model paths run, minus the non-power-of-two windows that
     draw via ``draw_below``.
     """
-    if spec.config != group.config:
+    if spec.config != config:
         return None
     return _lower(spec)
 
@@ -349,7 +350,7 @@ def lane_eligible(spec) -> bool:
 
     Used by plan displays (``--profile``): lowering needs only the spec
     (the scheme build is cheap), so this is :func:`lower_cell` without
-    a group.
+    the group's configuration check.
     """
     return _lower(spec) is not None
 

@@ -189,9 +189,10 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
     """Worker entry point: run every cell of a batch in-process.
 
     Returns ``(results, metas, batch_meta)`` with one result + meta per
-    cell in batch order.  ``"general"`` and ``"crypto"`` batches build
-    the shared group state once, lower each cell
-    (:func:`repro.cpu.batch.lower_cell`), and advance every lowered
+    cell in batch order.  ``"general"`` and ``"crypto"`` batches lower
+    each cell (:func:`repro.cpu.batch.lower_cell`; the batch's group
+    key fixes one configuration for all of them), build the shared
+    group state once if any cell lowered, and advance every lowered
     cell on the lane kernel (:func:`repro.cpu.batch.run_lane_cells`),
     grouped by their shared kernel parameters and chunked at the lane
     width (:func:`resolve_lanes`); a chunk of one is a width-1 call.
@@ -211,12 +212,15 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
     gc.disable()
     try:
         lane_width = resolve_lanes(lanes)
+        laned = batch.kind in LANE_KINDS and lane_width and check_rate_from_env() is None
         shared = None
         lowered = [None] * len(batch.cells)
-        if batch.kind in LANE_KINDS and lane_width and check_rate_from_env() is None:
+        if laned:
             from repro.cpu.batch import group_state_for, lower_cell, run_lane_cells
-            shared = group_state_for(batch.cells[0])
-            lowered = [lower_cell(spec, shared) for spec in batch.cells]
+            config = batch.cells[0].config
+            lowered = [lower_cell(spec, config) for spec in batch.cells]
+            if any(low is not None for low in lowered):
+                shared = group_state_for(batch.cells[0])
 
         # Lane plan: lowered cells sharing identical kernel parameters
         # advance together, chunked at the lane width.
@@ -256,7 +260,7 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
             meta["batch_amortized_decode"] = False
             metas[i] = meta
         batch_meta = {"decode_reuses": max(0, vectorized - 1)}
-        if shared is not None:
+        if laned:
             from repro.cpu.lanes import take_native_fallback
             batch_meta["lane_width"] = lane_width
             batch_meta["vectorized_cells"] = vectorized

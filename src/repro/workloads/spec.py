@@ -28,7 +28,9 @@ WORKLOAD_BASE = 0x100_0000
 #: (name, n_refs, seed) — it keys the on-disk trace cache, so stale
 #: cached traces are invalidated automatically.  (The move to columnar
 #: traces did not bump it: record content is unchanged, and the disk
-#: layer reads legacy record-list entries transparently.)
+#: layer reads legacy record-list entries transparently.  Nor did bulk
+#: synthesis, which replays the same MT19937 stream:
+#: ``tests/workloads/golden_traces.json`` pins every column it makes.)
 GENERATOR_VERSION = 1
 
 _GeneratorFn = Callable[[int, int], Trace]

@@ -83,7 +83,7 @@ def _crypto_specs(size, assoc, seed, schemes=FIGURE6_SCHEMES,
 
 def _crypto_lanes(specs, backend):
     shared = group_state_for(specs[0])
-    lowered = [lower_cell(spec, shared) for spec in specs]
+    lowered = [lower_cell(spec, shared.config) for spec in specs]
     assert all(lc is not None for lc in lowered)
     return _run_lanes(shared, lowered, backend)
 
@@ -100,7 +100,9 @@ def _group(benchmark, windows, warm, seed, n_refs=1200):
                        scheme="baseline", window=(0, 0), n_refs=n_refs,
                        seed=seed, warm=warm)]
     shared = group_state_for(specs[0])
-    return shared, lambda: [lower_cell(spec, shared) for spec in specs], specs
+    return (shared,
+            lambda: [lower_cell(spec, shared.config) for spec in specs],
+            specs)
 
 
 def _run_lanes(shared, lowered, backend):
@@ -170,10 +172,10 @@ class TestLaneIdentity:
                           n_refs=1200, seed=0)
                  for window in windows]
         shared = group_state_for(specs[0])
-        lowered = [lower_cell(spec, shared) for spec in specs]
+        lowered = [lower_cell(spec, shared.config) for spec in specs]
         assert [lc is not None for lc in lowered] == [True, False, True]
         eligible = [specs[0], specs[2]]
-        laned = run_lane_cells(shared, [lower_cell(spec, shared)
+        laned = run_lane_cells(shared, [lower_cell(spec, shared.config)
                                         for spec in eligible])
         assert laned == [_per_cell(spec) for spec in eligible]
 
@@ -213,7 +215,7 @@ class TestCryptoLaneIdentity:
     def test_hooked_cell_runs_as_width_one_lane(self, scheme):
         (spec,) = _crypto_specs(8 * 1024, 2, seed=1, schemes=(scheme,))
         shared = group_state_for(spec)
-        lowered = lower_cell(spec, shared)
+        lowered = lower_cell(spec, shared.config)
         assert lowered.l1_image or lowered.bypass    # a lane hook is set
         assert run_lane_cells(shared, [lowered]) == [_per_cell(spec)]
         assert lanes_mod.LAST_STATS["lanes"] == 1
@@ -239,7 +241,7 @@ def _every_kernel(spec, group, per_cell):
     ``[(result, rng after, rng before)]``, the per-cell run last."""
     runs = []
     for backend in BACKENDS:
-        lowered = lower_cell(spec, group)
+        lowered = lower_cell(spec, group.config)
         assert lowered is not None and lowered.policy_kind == 2
         start = copy.deepcopy(lowered.rng)
         (result,) = _run_lanes(group, [lowered], backend)
@@ -361,7 +363,7 @@ class TestInKernelDraws:
                         scheme="random_fill", window=(8, 7), n_refs=1500,
                         seed=4, warm=True)
         group = group_state_for(spec)
-        lowered = lower_cell(spec, group)
+        lowered = lower_cell(spec, group.config)
         assert (lowered.rng.width, lowered.rng.buffer_size) == \
             (width, buffer_size)
         assert len(lowered.rng.word_state()[2]) == \
@@ -375,7 +377,7 @@ class TestInKernelDraws:
         spec = CellSpec(kind="general", benchmark="astar",
                         scheme="random_fill", window=(4, 3), n_refs=1200,
                         seed=1)
-        assert lower_cell(spec, group_state_for(spec)) is None
+        assert lower_cell(spec, spec.config) is None
         assert not lane_eligible(spec)
         assert run_cell(spec).l1_demand_misses > 0
 
@@ -503,7 +505,7 @@ class TestLaneKnobs:
                         scheme="random_fill", window=(4, 3), n_refs=1200,
                         seed=0, warm=False, config=config)
         shared = group_state_for(spec)
-        lowered = [lower_cell(spec, shared) for _ in range(2)]
+        lowered = [lower_cell(spec, shared.config) for _ in range(2)]
         assert lowered[0].mq_capacity == 128
         laned = run_lane_cells(shared, lowered)
         assert lanes_mod.LAST_STATS["backend"] == "python"

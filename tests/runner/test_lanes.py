@@ -278,6 +278,28 @@ class TestLaneRuns:
         assert [m["lane_width"] for m in metas] == [2, 2, 1]
         assert results == [run_cell(spec) for spec in specs]
 
+    def test_batch_without_lowered_cells_builds_no_group_state(
+            self, monkeypatch):
+        # tagged_prefetch never lowers, so its one-cell batch runs the
+        # cell through run_cell and must not pay for the shared trace
+        # load, decode and warm-L2 replay first.
+        spec = CellSpec(kind="general", benchmark="lbm",
+                        scheme="tagged_prefetch", window=(0, 0),
+                        n_refs=1500, seed=0)
+
+        def no_group_state(spec):
+            raise AssertionError("group state built for a batch "
+                                 "with no lowered cell")
+
+        monkeypatch.setattr("repro.cpu.batch.group_state_for",
+                            no_group_state)
+        batch = CellBatch("b0", "general", (spec,))
+        results, metas, batch_meta = run_batch(batch, lanes=64)
+        assert batch_meta["vectorized_cells"] == 0
+        assert batch_meta["scalar_fallback_cells"] == 1
+        assert metas[0].get("lane_width") is None
+        assert results == [run_cell(spec)]
+
     def test_crypto_batch_with_ineligible_member(self):
         # random_fill_newcache never lowers: it falls back to run_cell
         # inside the crypto batch while the Figure 6 schemes lane.

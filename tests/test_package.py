@@ -69,3 +69,15 @@ def test_every_package_imports_first():
     packages = sorted(".".join(path.parent.relative_to(SRC).parts)
                       for path in Path(SRC, "repro").rglob("__init__.py"))
     assert _fresh_python(PURGE_AND_IMPORT % (packages,)) == "[]"
+
+
+def test_numpy_random_loads_only_when_a_trace_is_synthesized():
+    # numpy.random costs ~17 ms to import; only trace synthesis replays
+    # an MT19937 stream through it, so sweeps that synthesize no
+    # workload trace (Figure 6, the leakage grid, the service) skip it.
+    assert _fresh_python(
+        "import sys, repro.workloads, repro.leakage.sweep, "
+        "repro.experiments.perf_crypto, repro.service; "
+        "before = 'numpy.random' in sys.modules; "
+        "repro.workloads.make_workload('milc', 10); "
+        "print(before, 'numpy.random' in sys.modules)") == "False True"

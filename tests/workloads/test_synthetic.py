@@ -50,6 +50,10 @@ class TestStreaming:
             streaming(10, BASE, 2, stride_lines_max=4)
         with pytest.raises(ValueError):
             streaming(10, BASE, 100, dense_prob=1.5)
+        with pytest.raises(ValueError):
+            streaming(10, BASE, 100, refs_per_line=0)
+        with pytest.raises(ValueError):
+            streaming(10, BASE, 0, stride_lines_max=-1)
 
 
 class TestLocalityMixture:
@@ -78,6 +82,15 @@ class TestLocalityMixture:
             locality_mixture(10, BASE, 100, 10, 0.8, 0.3, 1)  # probs > 1
         with pytest.raises(ValueError):
             locality_mixture(10, BASE, 100, 200, 0.1, 0.1, 1)  # hot > ws
+        # inputs whose rejection loop could never accept a draw
+        with pytest.raises(ValueError):
+            locality_mixture(10, BASE, 0, 0, 0.0, 0.1, 1)  # no lines
+        with pytest.raises(ValueError):
+            locality_mixture(10, BASE, 100, 0, 0.1, 0.1, 1)  # no hot line
+        with pytest.raises(ValueError):
+            locality_mixture(10, BASE, 100, 10, 0.1, 0.1, -1)  # span < 0
+        with pytest.raises(ValueError):
+            locality_mixture(10, BASE, 100, 10, 0.1, 0.1, 1, refs_per_line=0)
 
 
 class TestStrided:
@@ -93,6 +106,10 @@ class TestStrided:
             strided(0, BASE, 100, 2)
         with pytest.raises(ValueError):
             strided(10, BASE, 100, 0)
+        with pytest.raises(ValueError):
+            strided(10, BASE, 0, 2)
+        with pytest.raises(ValueError):
+            strided(10, BASE, 100, 2, refs_per_line=0)
 
 
 class TestPointerChase:
