@@ -23,7 +23,9 @@ cells of a group as lanes of one call:
   image, DRAM rows/banks) plus the random-fill engine's own RNG, which
   the kernel draws from at each demand miss; lowering never advances
   that RNG.  Ineligible cells lower to ``None`` and the caller falls
-  back to :func:`repro.runner.cells.run_cell`,
+  back to :func:`repro.runner.cells.run_cell`; so does every cell when
+  the compiled kernel is unavailable (no C compiler, or a library that
+  does not load) or the cell's MSHR file exceeds the kernel's bound,
 * :func:`run_lane_cells` — a group of lowered cells through the lane
   kernel in one shared trace pass (the lanes must agree on
   :meth:`LoweredCell.shared_key`; a group of one is a width-1 call),
@@ -51,7 +53,12 @@ from repro.cache.controller import DemandFetchPolicy
 from repro.cache.l2 import L2Cache
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.policy import RandomFillPolicy
-from repro.cpu.lanes import LaneCell, run_lanes_general
+from repro.cpu.lanes import (
+    _NATIVE_MQ_LIMIT,
+    LaneCell,
+    native_available,
+    run_lanes_general,
+)
 from repro.cpu.timing import SimResult
 from repro.cpu.trace import Trace
 from repro.memory.dram import DramModel
@@ -217,11 +224,17 @@ def _build(spec, config):
 
 
 def _lower(spec) -> Optional[LoweredCell]:
-    """Structural eligibility check + parameter extraction."""
+    """Structural eligibility check + parameter extraction.
+
+    The one place that decides whether the lane kernel runs a cell:
+    ``None`` sends the cell down the per-cell path.
+    """
     from repro.runner.cells import LANE_KINDS, CellSpec
     from repro.schemes import get_scheme
 
     if not isinstance(spec, CellSpec) or spec.kind not in LANE_KINDS:
+        return None
+    if not native_available():
         return None
     config = spec.config
     # Declarative early-out from the scheme registry: schemes not
@@ -268,7 +281,8 @@ def _lower(spec) -> Optional[LoweredCell]:
             or l2_tag.associativity != config.l2_assoc:
         return None
     dram = l2.dram
-    if type(dram) is not DramModel:
+    if type(dram) is not DramModel \
+            or l1.miss_queue.capacity > _NATIVE_MQ_LIMIT:
         return None
     # Setup may leave requests in flight (the PLcache preload's last
     # line): retire what completes by the start cycle — the first
@@ -338,7 +352,8 @@ def lower_cell(spec, config) -> Optional[LoweredCell]:
     and L2 with a demand-fetch, disable-cache or power-of-two
     random-fill policy qualify — the configurations the fused and
     object-model paths run, minus the non-power-of-two windows that
-    draw via ``draw_below``.
+    draw via ``draw_below`` and MSHR files above the kernel's bound.
+    Nothing lowers when the compiled kernel is unavailable.
     """
     if spec.config != config:
         return None
@@ -350,7 +365,8 @@ def lane_eligible(spec) -> bool:
 
     Used by plan displays (``--profile``): lowering needs only the spec
     (the scheme build is cheap), so this is :func:`lower_cell` without
-    the group's configuration check.
+    the group's configuration check — ``False`` for every spec when the
+    compiled kernel is unavailable.
     """
     return _lower(spec) is not None
 

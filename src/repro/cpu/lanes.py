@@ -28,13 +28,12 @@ place.  A random-fill lane carries its cell's own
 one point the paper's datapath uses a random number: the fill offset is
 ``(draw & rf_mask) - rf_a`` (Figure 4, Table II bounds), computed there
 and nowhere else, so no draw the run does not use is ever made.  The
-native kernel continues the RNG's MT19937 stream and refill buffer from
+kernel continues the RNG's MT19937 stream and refill buffer from
 :meth:`~repro.util.rng.HardwareRng.word_state` and hands the advanced
-state back only after a successful call; the Python fallback calls the
-RNG itself.  Either way the RNG ends exactly where scalar ``draw()``
-calls would leave it.  The per-record state machine itself runs in a
-small C kernel (``lanes_kernel.c``), compiled once with the host
-toolchain and loaded through :mod:`ctypes`; results are
+state back only after a successful call, so the RNG ends exactly where
+scalar ``draw()`` calls would leave it.  The per-record state machine
+itself runs in a small C kernel (``lanes_kernel.c``), compiled once
+with the host toolchain and loaded through :mod:`ctypes`; results are
 **bit-identical** to the per-cell path (the fused timing kernel plus
 settle, and for lanes with carried-in state or hooks, the object model
 the hooks transcribe) because the C code is a branch-for-branch
@@ -54,17 +53,18 @@ loop's bare locals on every event), and a fully tuned per-lane
 rewrite (heap MSHR, O(1) ordered-dict sets, precomputed offsets,
 steady-merge fast path) topped out at ~1.06x — fig10 traffic is
 miss/merge-dominated, so per-event interpreter constants bound any
-same-language kernel near 1x.  That tuned per-lane kernel ships as
-:func:`_run_lane_python`, the fallback when no C compiler is
-available; the native kernel is the performance path.
+same-language kernel near 1x.
 
 The compiled library is cached under a hash of its source and compile
 flags (:func:`artifact_path`) and must export the ABI stamp
 ``run_lanes_abi`` equal to :data:`LANES_ABI`.  A library that fails to
-load or lacks the stamp is never called: the process falls back to the
-Python kernel, and the runner reports why once, as a
-``lanes_fallback`` telemetry event (:func:`take_native_fallback`).  A
-bad artifact can change how long a run takes, never its results.
+load or lacks the stamp is never called, and a host without a C
+compiler has none: :func:`native_available` then reports ``False``,
+lowering (:mod:`repro.cpu.batch`) declines every cell, and those cells
+run per cell through :func:`~repro.runner.cells.run_cell` inside their
+batch.  The runner reports why once, as a ``lanes_fallback`` telemetry
+event (:func:`take_native_fallback`).  A missing compiler or a bad
+artifact can change how long a run takes, never its results.
 """
 
 from __future__ import annotations
@@ -75,31 +75,16 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.timing import (
-    CHARGED_PRUNE_THRESHOLD,
-    SimResult,
-    prune_charged,
-)
+from repro.cpu.timing import SimResult
 from repro.util.rng import WORD_BITS, HardwareRng
 
-#: mirrors :data:`repro.cache.mshr.MissQueue.NEVER`
-_NEVER = 1 << 62
-
-#: MSHR request types as plain ints (1 mirrors ``NOFILL``)
-_RT_NORMAL, _RT_NOFILL, _RT_RANDOM_FILL = 0, 1, 2
-
-#: diagnostics of the most recent kernel run, read by the profiler
-#: display; overwritten per call
-LAST_STATS: dict = {}
-
-#: the native kernel rejects MSHR capacities above its drain scratch
-#: bound (C returns -2); such configs take the Python fallback
+#: the kernel rejects MSHR capacities above its drain scratch bound
+#: (C returns -2); lowering declines such cells, which run per cell
 _NATIVE_MQ_LIMIT = 64
 
 #: the ABI stamp ``lanes_kernel.c`` must export as ``run_lanes_abi``;
@@ -126,10 +111,9 @@ class LaneCell:
     """Per-lane kernel inputs: the policy split of one lowered cell.
 
     A random-fill lane (``policy_kind`` 2) carries its cell's own
-    ``rng`` — advanced by one ``draw()`` per demand miss, whichever
-    backend runs the lane — and the window's lower bound ``rf_a`` and
-    power-of-two mask ``rf_mask``; demand-fetch lanes (``policy_kind``
-    1) leave them unset.
+    ``rng`` — advanced by one ``draw()`` per demand miss — and the
+    window's lower bound ``rf_a`` and power-of-two mask ``rf_mask``;
+    demand-fetch lanes (``policy_kind`` 1) leave them unset.
 
     The rest is carried-in state, all defaulting to a fresh hierarchy
     whose L2 is the group's: ``start`` is the first cycle; ``l1`` /
@@ -161,8 +145,7 @@ class LaneCell:
 
 def _check_rngs(cells: Sequence[LaneCell]) -> None:
     """Every random-fill lane needs an RNG of its own that a 32-bit
-    word per draw serves (the native kernel's contract; the Python
-    lanes keep it too, so both backends accept the same lanes)."""
+    word per draw serves (the kernel's contract)."""
     seen = set()
     for cell in cells:
         if cell.policy_kind != 2:
@@ -208,7 +191,7 @@ def _compile_native() -> Tuple[Optional[ctypes.CDLL], str]:
 
     Returns ``(library, "")``, or ``(None, reason)`` when no C compiler
     is available, compilation fails, or the cached artifact does not
-    load — callers fall back to the Python kernel.  The compile writes
+    load — lowering then declines every cell.  The compile writes
     a temp file and renames it into place, so a concurrent reader never
     sees a partial library.
     """
@@ -275,7 +258,7 @@ def _native():
 
 
 def take_native_fallback() -> Optional[str]:
-    """Why this process fell back to the Python kernel — returned once.
+    """Why the compiled kernel is unavailable here — returned once.
 
     ``None`` while the compiled kernel loads (or was never needed) and
     after the reason has been taken, so the runner emits exactly one
@@ -361,14 +344,42 @@ def _pack_lanes(cells, l1_geometry, l2_geometry, dram_banks):
     return np.asarray(info, dtype=np.int64), state
 
 
-def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
-                l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
-                mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cells, dram) -> Optional[List[SimResult]]:
+def run_lanes_general(lines, steps, instructions,
+                      l1_num_sets, l1_assoc,
+                      l2_sets, l2_num_sets, l2_assoc,
+                      l2_hit_latency, mq_capacity, fill_reserve,
+                      fill_queue_capacity, hit_cost, mlp, credit,
+                      cells: Sequence[LaneCell], dram) -> List[SimResult]:
+    """Advance every lane of a batch group over the shared columns.
+
+    ``lines`` / ``steps`` are the measured records' line addresses and
+    issue-cycle steps as int64 arrays (the kernel reads them in place)
+    and ``instructions`` their instruction count.  The shared scalars
+    are the L1 / L2 geometry, the L2 hit latency, MSHR capacity and
+    fill reserve, fill-queue capacity, L1 hit cost, MLP and overlap
+    credit, and ``dram`` is the ``(lines_per_row, banks, hit_latency,
+    miss_latency, hit_busy, miss_busy)`` timing tuple of the open-page
+    model.  ``l2_sets`` is the group's warmed L2 image (MRU-first int
+    lists, *not* mutated — each lane works on its own copy) and
+    ``cells`` holds one :class:`LaneCell` per lane: its policy split,
+    carried-in state and hooks.  Returns one :class:`SimResult` per
+    lane, bit-identical to running the cell through the per-cell path
+    from the same starting state.
+
+    Raises :class:`RuntimeError` when the compiled kernel is unavailable
+    or refuses the call (an MSHR file above :data:`_NATIVE_MQ_LIMIT`);
+    every lane's RNG is then untouched.
+    """
     n_lanes = len(cells)
-    n_records = len(lines_l)
-    lines = np.ascontiguousarray(lines_l, dtype=np.int64)
-    steps = np.ascontiguousarray(steps_l, dtype=np.int64)
+    if n_lanes == 0:
+        return []
+    _check_rngs(cells)
+    fn = _native()
+    if fn is None:
+        raise RuntimeError("lane kernel unavailable")
+    n_records = len(lines)
+    lines = np.ascontiguousarray(lines, dtype=np.int64)
+    steps = np.ascontiguousarray(steps, dtype=np.int64)
     if len(steps) != n_records:
         raise ValueError("lines and steps columns differ in length")
     info, state = _pack_lanes(
@@ -386,7 +397,8 @@ def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
             dram[0], dram[1], dram[2], dram[3], dram[4], dram[5],
             _as_ptr(out))
     if rc != 0:
-        return None          # every RNG untouched: the caller falls back
+        # Nothing is handed back: every lane's RNG is where it started.
+        raise RuntimeError(f"lane kernel refused the call (code {rc})")
     for l, cell in enumerate(cells):
         if cell.policy_kind == 2:
             _unpack_rng(cell.rng, state[info[l * _LANE_INFO + 2]:])
@@ -404,408 +416,3 @@ def _run_native(fn, lines_l, steps_l, instructions, l1_num_sets, l1_assoc,
         )
         for l in range(n_lanes)
     ]
-
-
-def _ordered_sets(num_sets: int, image: Optional[Dict]) -> List[OrderedDict]:
-    """A sparse ``{set: [(line, locked), ...]}`` image as LRU-first sets."""
-    sets = [OrderedDict() for _ in range(num_sets)]
-    for s, members in (image or {}).items():
-        sets[s] = OrderedDict(reversed(members))
-    return sets
-
-
-def _run_lane_python(lines_l, steps_plus, instructions, l1_num_sets,
-                     l1_assoc, l2_sets, l2_num_sets, l2_assoc,
-                     l2_hit_latency, mq_capacity, fill_reserve,
-                     fill_queue_capacity, hit_cost, mlp, credit,
-                     cell, dram) -> SimResult:
-    """One lane's trace pass — the tuned Python fallback.
-
-    The Python twin of ``lanes_kernel.c``: the same per-record state
-    machine (the fused timing kernel plus settle, with the lane hooks)
-    on faster but order-identical machinery.  Cache sets are
-    :class:`OrderedDict` mapping line to lock bit (O(1) membership,
-    ``move_to_end`` refresh carrying the bit along, first unlocked key =
-    LRU victim — the C kernel's MRU-first ways reversed); the MSHR adds
-    a completion-ordered heap whose ``(completion, seq)`` order
-    reproduces ``MissQueue.drain``'s stable completion sort; the step
-    column arrives fused with the per-record ``hit_cost`` (every branch
-    of the record loop adds exactly one); and a ``steady`` set marks
-    lines whose charge already equals their in-flight completion so a
-    repeat merge retires in one membership test (after the drain check,
-    surviving entries complete strictly after ``now``, so such a merge
-    adds exactly the already-fused ``hit_cost``).  A random-fill miss
-    calls the cell's ``draw()`` where the fused and native kernels draw.
-    """
-    from heapq import heappop, heappush
-
-    (dram_lines_per_row, dram_banks, dram_hit_latency, dram_miss_latency,
-     dram_hit_busy, dram_miss_busy) = dram
-    policy_kind = cell.policy_kind
-    rf_a = cell.rf_a
-    rf_mask = cell.rf_mask
-    draw = cell.rng.draw if policy_kind == 2 else None
-    l1_set_mask = l1_num_sets - 1
-    l2_set_mask = l2_num_sets - 1
-    l1_sets = _ordered_sets(l1_num_sets, cell.l1)
-    if cell.l2 is not None:
-        l2 = _ordered_sets(l2_num_sets, cell.l2)
-    else:
-        l2 = [OrderedDict((line, False) for line in reversed(ways))
-              for ways in l2_sets]
-    # Lock bits only ever come from the carried-in images (no access in
-    # the run locks or unlocks), so lanes without any skip the scan.
-    l1_locks = any(any(s.values()) for s in l1_sets)
-    l2_locks = cell.l2 is not None and any(any(s.values()) for s in l2)
-    bypass = frozenset(line for lo, hi in cell.bypass
-                       for line in range(lo, hi))
-    mq: dict = {}
-    mq_get = mq.get
-    heap: list = []
-    seq = 0
-    fill_queue: list = []
-    open_row: dict = dict(cell.dram[0]) if cell.dram else {}
-    bank_free: dict = dict(cell.dram[1]) if cell.dram else {}
-    bank_free_get = bank_free.get
-    open_row_get = open_row.get
-    steady: set = set()
-    steady_add = steady.add
-    steady_discard = steady.discard
-
-    prune_at = CHARGED_PRUNE_THRESHOLD
-    fill_cap = mq_capacity - fill_reserve
-    l2_accesses = 0
-    l2_misses = 0
-    memory_lines = 0
-    rf_issued = 0
-    hits = 0
-    demand_misses = 0
-    nc = _NEVER
-    ncx = _NEVER                  # nc + hit_cost, in fused-clock terms
-    fills_blocked = False
-
-    def l2_access(line, at):
-        nonlocal l2_accesses, l2_misses, memory_lines
-        l2_accesses += 1
-        cache_set = l2[line & l2_set_mask]
-        if line in cache_set:
-            cache_set.move_to_end(line)
-            return at + l2_hit_latency
-        l2_misses += 1
-        row = line // dram_lines_per_row
-        bank = row % dram_banks
-        start = bank_free_get(bank, 0)
-        at += l2_hit_latency
-        if start < at:
-            start = at
-        if open_row_get(bank) == row:
-            done = start + dram_hit_latency
-            bank_free[bank] = start + dram_hit_busy
-        else:
-            open_row[bank] = row
-            done = start + dram_miss_latency
-            bank_free[bank] = start + dram_miss_busy
-        memory_lines += 1
-        if len(cache_set) >= l2_assoc:
-            if not l2_locks:
-                cache_set.popitem(last=False)
-            elif not _evict_unlocked(cache_set):
-                return done          # every way locked: fill refused
-        cache_set[line] = False
-        return done
-
-    def drain(at):
-        nonlocal nc, ncx
-        if at < nc:
-            return 0
-        done = 0
-        while heap and heap[0][0] <= at:
-            dline = heappop(heap)[2]
-            done += 1
-            steady_discard(dline)
-            if mq.pop(dline)[1] != _RT_NOFILL:
-                cache_set = l1_sets[dline & l1_set_mask]
-                if dline in cache_set:
-                    continue
-                if len(cache_set) >= l1_assoc:
-                    if not l1_locks:
-                        cache_set.popitem(last=False)
-                    elif not _evict_unlocked(cache_set):
-                        continue     # every way locked: fill refused
-                cache_set[dline] = False
-        nc = heap[0][0] if heap else _NEVER
-        ncx = nc + hit_cost
-        return done
-
-    def issue_fills(at):
-        nonlocal nc, ncx, fills_blocked, rf_issued, seq
-        while fill_queue:
-            head = fill_queue[0]
-            if head in l1_sets[head & l1_set_mask]:
-                del fill_queue[0]
-                continue
-            in_flight = mq_get(head)
-            if in_flight is not None:
-                del fill_queue[0]
-                if in_flight[1] == _RT_NOFILL:
-                    in_flight[1] = _RT_RANDOM_FILL
-                    rf_issued += 1
-                continue
-            if len(mq) >= fill_cap:
-                break
-            del fill_queue[0]
-            fill_at = l2_access(head, at)
-            rf_issued += 1
-            mq[head] = [fill_at, _RT_RANDOM_FILL]
-            heappush(heap, (fill_at, seq, head))
-            seq += 1
-            if fill_at < nc:
-                nc = fill_at
-                ncx = nc + hit_cost
-        fills_blocked = bool(fill_queue)
-
-    now = cell.start
-    charged: dict = {}
-    charged_get = charged.get
-    for line, sp in zip(lines_l, steps_plus):
-        # ``sp`` fuses step + hit_cost: the unfused clock's "now" at
-        # branch entry is ``now - hit_cost``.
-        now += sp
-        if now >= ncx:
-            drain(now - hit_cost)
-            fills_blocked = False
-        if bypass and line in bypass:
-            # L1 bypass: one L2 access charged as a fresh demand miss
-            # with no MSHR stall; L1, MSHR and fill queue untouched.
-            complete_at = l2_access(line, now - hit_cost)
-            demand_misses += 1
-            charged[line] = complete_at
-            remaining = complete_at - now - credit
-            if remaining > 0:
-                now += (remaining + mlp - 1) // mlp
-            if len(charged) >= prune_at:
-                charged = prune_charged(charged, now)
-                charged_get = charged.get
-                for k in tuple(steady):
-                    if charged_get(k) != mq[k][0]:
-                        steady_discard(k)
-            continue
-        cache_set = l1_sets[line & l1_set_mask]
-        if line in cache_set:
-            hits += 1
-            cache_set.move_to_end(line)
-            if fill_queue and not fills_blocked:
-                issue_fills(now - hit_cost)
-            continue
-        if line in steady:
-            # charged[line] == mq[line][0] > now: the merge path adds
-            # exactly hit_cost, already fused into the step.
-            continue
-        nb = now - hit_cost
-        in_flight = mq_get(line)
-        if in_flight is None and fill_queue and not fills_blocked:
-            # Queued random fills are older than this demand miss, so
-            # they claim MSHRs first — possibly turning it into a merge.
-            issue_fills(nb)
-            in_flight = mq_get(line)
-        if in_flight is not None:
-            completion = in_flight[0]
-            if completion < nb:
-                completion = nb
-            if charged_get(line) != completion:
-                charged[line] = completion
-                remaining = completion - now - credit
-                if remaining > 0:
-                    now += (remaining + mlp - 1) // mlp
-                if completion == in_flight[0]:
-                    steady_add(line)
-                else:
-                    steady_discard(line)
-            if len(charged) >= prune_at:
-                charged = prune_charged(charged, now)
-                charged_get = charged.get
-                for k in tuple(steady):
-                    if charged_get(k) != mq[k][0]:
-                        steady_discard(k)
-            continue
-        stall = 0
-        access_now = nb
-        if len(mq) >= mq_capacity:
-            stall = nc - nb
-            if stall < 0:
-                stall = 0
-            access_now = nb + stall
-            drain(access_now)
-            fills_blocked = False
-            if line in cache_set:
-                # The drained line was the one we wanted; charge only
-                # the hit (stall unused), with the MRU refresh.
-                hits += 1
-                cache_set.move_to_end(line)
-                continue
-        demand_misses += 1
-        if policy_kind == 2:
-            complete_at = l2_access(line, access_now)
-            mq[line] = [complete_at, _RT_NOFILL]
-            heappush(heap, (complete_at, seq, line))
-            seq += 1
-            if complete_at < nc:
-                nc = complete_at
-                ncx = nc + hit_cost
-            fills_blocked = False
-            fill_line = line + (draw() & rf_mask) - rf_a
-            if fill_queue:
-                # Parked requests are older; preserve FIFO order.
-                if fill_line >= 0 and len(fill_queue) < fill_queue_capacity:
-                    fill_queue.append(fill_line)
-                issue_fills(access_now)
-            elif fill_line < 0:
-                pass                 # window underflow: dropped
-            elif fill_line in l1_sets[fill_line & l1_set_mask]:
-                pass                 # already resident: dropped
-            else:
-                in_flight = mq_get(fill_line)
-                if in_flight is not None:
-                    if in_flight[1] == _RT_NOFILL:
-                        in_flight[1] = _RT_RANDOM_FILL
-                        rf_issued += 1
-                elif len(mq) >= fill_cap:
-                    fill_queue.append(fill_line)
-                    fills_blocked = True
-                else:
-                    fill_at = l2_access(fill_line, access_now)
-                    rf_issued += 1
-                    mq[fill_line] = [fill_at, _RT_RANDOM_FILL]
-                    heappush(heap, (fill_at, seq, fill_line))
-                    seq += 1
-                    if fill_at < nc:
-                        nc = fill_at
-                        ncx = nc + hit_cost
-        else:
-            complete_at = l2_access(line, access_now)
-            mq[line] = [complete_at, _RT_NORMAL]
-            heappush(heap, (complete_at, seq, line))
-            seq += 1
-            if complete_at < nc:
-                nc = complete_at
-                ncx = nc + hit_cost
-            fills_blocked = False
-            if fill_queue:
-                issue_fills(access_now)
-        charged[line] = complete_at
-        # The fresh entry's charge matches its completion by
-        # construction: repeat merges are steady until it drains.
-        steady_add(line)
-        now += stall
-        remaining = complete_at - now - credit
-        if remaining > 0:
-            now += (remaining + mlp - 1) // mlp
-        if len(charged) >= prune_at:
-            charged = prune_charged(charged, now)
-            charged_get = charged.get
-            for k in tuple(steady):
-                if charged_get(k) != mq[k][0]:
-                    steady_discard(k)
-
-    # End-of-run settle (L1Controller.settle with now=None): issued
-    # fills and their L2/DRAM traffic count toward this run's totals.
-    while fill_queue or mq:
-        progressed = False
-        if mq:
-            horizon = nc if nc > 0 else 0
-            progressed = drain(horizon) > 0
-        if fill_queue and len(mq) < mq_capacity:
-            before = len(fill_queue)
-            issue_fills(0)
-            progressed = progressed or len(fill_queue) != before
-        if not progressed:       # pragma: no cover - defensive backstop
-            break
-
-    return SimResult(
-        instructions=instructions,
-        cycles=now,
-        l1_accesses=len(lines_l),
-        l1_hits=hits,
-        l1_demand_misses=demand_misses,
-        l2_accesses=l2_accesses,
-        l2_demand_misses=l2_misses,
-        memory_lines=memory_lines,
-        random_fill_issued=rf_issued,
-    )
-
-
-def _evict_unlocked(cache_set: OrderedDict) -> bool:
-    """Evict the least-recently-used unlocked line; ``False`` (fill
-    refused) when every way is locked."""
-    for line, locked in cache_set.items():
-        if not locked:
-            del cache_set[line]
-            return True
-    return False
-
-
-def run_lanes_general(lines_l, steps_l, instructions,
-                      l1_num_sets, l1_assoc,
-                      l2_sets, l2_num_sets, l2_assoc,
-                      l2_hit_latency, mq_capacity, fill_reserve,
-                      fill_queue_capacity, hit_cost, mlp, credit,
-                      cells: Sequence[LaneCell], dram,
-                      backend: Optional[str] = None) -> List[SimResult]:
-    """Advance every lane of a batch group over the shared columns.
-
-    ``lines_l`` / ``steps_l`` are the measured records' line addresses
-    and issue-cycle steps as int64 arrays (the native kernel reads them
-    in place) and ``instructions`` their instruction count.  The shared
-    scalars are the L1 / L2 geometry, the L2 hit latency, MSHR capacity
-    and fill reserve, fill-queue capacity, L1 hit cost, MLP and overlap
-    credit, and ``dram`` is the ``(lines_per_row, banks, hit_latency,
-    miss_latency, hit_busy, miss_busy)`` timing tuple of the open-page
-    model.  ``l2_sets`` is
-    the group's warmed L2 image (MRU-first int lists, *not* mutated —
-    each lane works on its own copy) and ``cells`` holds one
-    :class:`LaneCell` per lane: its policy split, carried-in state and
-    hooks.  ``backend`` forces ``"native"`` or ``"python"``; the
-    default picks the compiled kernel when available.  Returns one
-    :class:`SimResult` per lane, bit-identical to running the cell
-    through the per-cell path from the same starting state.
-    """
-    if backend not in (None, "native", "python"):
-        raise ValueError(
-            f"backend must be None, 'native' or 'python', got {backend!r}")
-    n_lanes = len(cells)
-    if n_lanes == 0:
-        return []
-    _check_rngs(cells)
-    used = "python"
-    results = None
-    if backend != "python" and mq_capacity <= _NATIVE_MQ_LIMIT:
-        fn = _native()
-        if fn is None:
-            if backend == "native":
-                raise RuntimeError("native lane kernel unavailable")
-        else:
-            results = _run_native(
-                fn, lines_l, steps_l, instructions, l1_num_sets,
-                l1_assoc, l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
-                mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cells, dram)
-            if results is not None:
-                used = "native"
-    elif backend == "native":
-        raise RuntimeError(
-            f"native lane kernel rejects mq_capacity {mq_capacity}")
-    if results is None:
-        lines_l = lines_l.tolist()
-        steps_plus = (np.asarray(steps_l, dtype=np.int64)
-                      + hit_cost).tolist()
-        results = [
-            _run_lane_python(
-                lines_l, steps_plus, instructions, l1_num_sets, l1_assoc,
-                l2_sets, l2_num_sets, l2_assoc, l2_hit_latency,
-                mq_capacity, fill_reserve, fill_queue_capacity, hit_cost,
-                mlp, credit, cell, dram)
-            for cell in cells
-        ]
-    LAST_STATS.clear()
-    LAST_STATS.update(records=len(lines_l), lanes=n_lanes, backend=used)
-    return results

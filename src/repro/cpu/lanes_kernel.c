@@ -28,8 +28,9 @@
  * operands, so C arithmetic matches Python's exactly.
  *
  * Compiled on demand by repro/cpu/lanes.py with the host toolchain and
- * loaded via ctypes; when no compiler is available the Python per-lane
- * kernel in that module is the fallback.
+ * loaded via ctypes.  There is no second lane kernel: when no compiler
+ * is available (or the library does not load), lowering declines every
+ * cell and those cells run per cell (repro/runner/cells.py:run_cell).
  */
 
 #include <stdint.h>

@@ -199,9 +199,11 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
     Cells the kernel does not cover — and every cell at lane width 0,
     or when ``REPRO_CHECK`` is active, as a belt-and-braces guard (the
     parent already skips planning in both cases) — fall back to
-    :func:`run_cell` individually inside the batch.  Any exception
-    propagates whole: the supervisor splits the batch and retries the
-    cells one by one.
+    :func:`run_cell` individually inside the batch; no cell lowers
+    when the compiled kernel is unavailable, and the reason rides once
+    per process as ``batch_meta["lanes_fallback"]``.  Any exception —
+    a lane call the kernel refuses included — propagates whole: the
+    supervisor splits the batch and retries the cells one by one.
 
     A lane call's wall time is attributed evenly across its member
     cells' ``worker_duration_s`` so per-cell latency stays meaningful.

@@ -284,8 +284,8 @@ class _Supervisor:
             decode_reuses=batch_meta.get("decode_reuses", 0),
         )
         if "lanes_fallback" in batch_meta:
-            # Once per process: the compiled lane kernel was unusable
-            # and the worker ran the (bit-identical) Python kernel.
+            # Once per process: the compiled lane kernel was unusable,
+            # so no cell lowered and lane-kind cells ran per cell.
             self.telemetry.emit(
                 "lanes_fallback", batch_id=batch.batch_id, reason=batch_meta["lanes_fallback"]
             )

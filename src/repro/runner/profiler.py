@@ -55,9 +55,8 @@ def profile_batch(batch, top: int = DEFAULT_TOP, stream: Optional[io.TextIOBase]
     replay) plus every cell's kernel run — lane kernel calls included —
     i.e. exactly what a worker does for one batched work item.  For a
     lane-backed batch the report is prefixed with the lane summary
-    (width, vectorized vs per-cell fallback cells, kernel backend).
+    (width, vectorized vs per-cell fallback cells).
     """
-    from repro.cpu import lanes
     from repro.runner.batch import run_batch
 
     profiler = cProfile.Profile()
@@ -68,12 +67,10 @@ def profile_batch(batch, top: int = DEFAULT_TOP, stream: Optional[io.TextIOBase]
         profiler.disable()
     buffer = io.StringIO()
     if batch_meta.get("vectorized_cells"):
-        backend = lanes.LAST_STATS.get("backend", "unknown")
         buffer.write(
             f"lane kernel: width {batch_meta['lane_width']}, "
             f"{batch_meta['vectorized_cells']} vectorized / "
-            f"{batch_meta['scalar_fallback_cells']} per-cell fallback "
-            f"cells, backend {backend}\n"
+            f"{batch_meta['scalar_fallback_cells']} per-cell fallback cells\n"
         )
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)

@@ -25,7 +25,7 @@ per record.  It is *computed* in bulk from that same stream:
    to record where each step's write draws sit in the stream
    (``strided`` has no choice draws, so it needs no walk);
 3. numpy replays the stream from the saved state
-   (:func:`_replay_words`), takes each write flag as ``random()``'s
+   (:func:`_write_flags`), takes each write flag as ``random()``'s
    exact value from its two words, and broadcasts the addresses from
    the walked lines.
 
@@ -51,6 +51,13 @@ LINE = 64
 #: ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``
 _RANDOM_WORDS = 2
 
+#: most MT19937 words one write-flag replay request draws (512 KiB as
+#: uint64).  Synthesizing the eight 400k-ref fig10 traces in a fresh
+#: process (shared 2-vCPU host) peaked at 115.7 MB RSS with this cap,
+#: 125.3 MB with blocks as long as the trace (and about twice the page
+#: faults) and 136.0 MB replaying in one request
+_REPLAY_BLOCK = 1 << 16
+
 
 def _zeros(n: int) -> array:
     """``n`` zeroed int64 slots: a walk fills them one at a time, and
@@ -63,9 +70,9 @@ def _draw_words(bits: int) -> int:
     return (bits + 31) // 32
 
 
-def _replay_words(state: tuple, n_words: int) -> np.ndarray:
-    """The next ``n_words`` 32-bit outputs (as uint64) of the stream a
-    ``random.Random`` was in when ``getstate()`` returned ``state``.
+def _mt19937(state: tuple):
+    """A numpy ``MT19937`` at the stream position a ``random.Random``
+    was in when ``getstate()`` returned ``state``.
 
     CPython's ``random`` and numpy's ``MT19937`` run the same generator
     and tempering, so copying the 624-word key and the position makes
@@ -81,18 +88,45 @@ def _replay_words(state: tuple, n_words: int) -> np.ndarray:
         "state": {"key": np.array(internal[:-1], dtype=np.uint32),
                   "pos": internal[-1]},
     }
-    return generator.random_raw(n_words)
+    return generator
 
 
 def _write_flags(state: tuple, firsts: np.ndarray,
                  write_ratio: float) -> np.ndarray:
     """Each record's ``random() < write_ratio`` flag as int64;
-    ``firsts`` holds the stream position of each record's first word."""
-    words = _replay_words(state, int(firsts[-1]) + _RANDOM_WORDS)
-    high = words[firsts] >> 5
-    low = words[firsts + 1] >> 6
-    value = (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
-    return (value < write_ratio).astype(np.int64)
+    ``firsts`` holds the stream position of each record's first word.
+
+    The stream is replayed in blocks of at most ``len(firsts)`` and
+    :data:`_REPLAY_BLOCK` words (a trace draws 3.5-5.5 words per
+    record), so no array here outgrows a trace column: freeing one
+    larger would raise glibc's mmap threshold and leave later
+    column-sized arrays on the heap.  Each block after the first starts
+    with the previous block's last word, which may be a record's first.
+    """
+    n = len(firsts)
+    flags = np.empty(n, dtype=np.int64)
+    size = max(min(n, _REPLAY_BLOCK), _RANDOM_WORDS)
+    total = int(firsts[-1]) + _RANDOM_WORDS
+    generator = _mt19937(state)
+    words = generator.random_raw(min(size, total))
+    base = done = 0          # words[0]'s stream position; records flagged
+    while True:
+        end = base + len(words)
+        # the records whose two words both lie in this block
+        stop = int(np.searchsorted(firsts, end - 1))
+        at = firsts[done:stop] - base
+        high = words[at] >> 5
+        low = words[at + 1] >> 6
+        value = (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+        flags[done:stop] = value < write_ratio
+        done = stop
+        if done == n:
+            return flags
+        carry = words[-1]
+        words = np.empty(min(size, total - end + 1), dtype=np.uint64)
+        words[0] = carry
+        words[1:] = generator.random_raw(len(words) - 1)
+        base = end - 1
 
 
 def _line_records(state: tuple, lines: Sequence[int], starts: Sequence[int],

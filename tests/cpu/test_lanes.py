@@ -6,10 +6,12 @@ observable difference from running each cell on its own is speed, so
 every test here compares :func:`run_lane_cells` /
 :func:`run_lanes_general` against the per-cell path
 (:func:`run_cell`, or ``run_general_workload`` on a hand-built trace)
-across schemes, windows, warm state, seeds and lane counts — on both
-the native C backend and the pure-Python fallback.  Crypto cells
-(Figures 6 and 7) carry the PLcache preload's state and lock bits and
-the disable-cache bypass into their lanes.
+across schemes, windows, warm state, seeds and lane counts.  Crypto
+cells (Figures 6 and 7) carry the PLcache preload's state and lock
+bits and the disable-cache bypass into their lanes.  The compiled
+kernel is the only lane backend, so these tests skip on a host that
+cannot build it; there every cell runs per cell, which
+``tests/runner/test_lanes.py`` pins.
 
 A random-fill lane draws from its cell's own RNG at each demand miss,
 so a run advances the lowered cell's RNG: every run below lowers its
@@ -18,7 +20,6 @@ kernel — and the per-cell path — leaves behind.
 """
 
 import copy
-import dataclasses
 import os
 import shutil
 import subprocess
@@ -55,13 +56,14 @@ from repro.util.rng import HardwareRng
 #: window is non-power-of-two and must fail lowering (fallback path)
 POW2_WINDOWS = ((0, 0), (0, 7), (4, 3), (16, 15), (8, 7))
 
-BACKENDS = ["python"] + (["native"] if native_available() else [])
+needs_kernel = pytest.mark.skipif(not native_available(),
+                                  reason="no compiled lane kernel")
 
 #: Figure 6 L1 geometries: {8, 16, 32} KB x {1, 2, 4} ways
 FIG6_GEOMETRIES = [(size * 1024, assoc) for size in (8, 16, 32)
                    for assoc in (1, 2, 4)]
 
-#: per-cell reference results, shared between backends and tests
+#: per-cell reference results, shared between tests
 _PER_CELL: dict = {}
 
 
@@ -81,11 +83,11 @@ def _crypto_specs(size, assoc, seed, schemes=FIGURE6_SCHEMES,
             for scheme in schemes]
 
 
-def _crypto_lanes(specs, backend):
+def _crypto_lanes(specs):
     shared = group_state_for(specs[0])
     lowered = [lower_cell(spec, shared.config) for spec in specs]
     assert all(lc is not None for lc in lowered)
-    return _run_lanes(shared, lowered, backend)
+    return run_lane_cells(shared, lowered)
 
 
 def _group(benchmark, windows, warm, seed, n_refs=1200):
@@ -105,62 +107,37 @@ def _group(benchmark, windows, warm, seed, n_refs=1200):
             specs)
 
 
-def _run_lanes(shared, lowered, backend):
-    first = lowered[0]
-    cells = [lc.lane_cell() for lc in lowered]
-    return run_lanes_general(
-        shared.line_array, shared.step_array, shared.instructions,
-        l1_num_sets=first.l1_num_sets, l1_assoc=first.l1_assoc,
-        l2_sets=shared.l2_sets_view(), l2_num_sets=shared.l2_num_sets,
-        l2_assoc=shared.l2_assoc, l2_hit_latency=first.l2_hit_latency,
-        mq_capacity=first.mq_capacity, fill_reserve=first.fill_reserve,
-        fill_queue_capacity=first.fill_queue_capacity,
-        hit_cost=first.hit_cost, mlp=first.mlp, credit=first.credit,
-        cells=cells, dram=first.dram, backend=backend)
-
-
+@needs_kernel
 class TestLaneIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=6, deadline=None)
     @given(windows=st.lists(st.sampled_from(POW2_WINDOWS), min_size=1,
                             max_size=4, unique=True),
            warm=st.booleans(),
            seed=st.integers(min_value=0, max_value=3),
            benchmark=st.sampled_from(("astar", "lbm")))
-    def test_matches_per_cell(self, backend, windows, warm, seed,
-                              benchmark):
+    def test_matches_per_cell(self, windows, warm, seed, benchmark):
         shared, lower, specs = _group(benchmark, windows, warm, seed)
         lowered = lower()
         assert all(lc is not None for lc in lowered)
-        laned = _run_lanes(shared, lowered, backend)
+        laned = run_lane_cells(shared, lowered)
         assert laned == [_per_cell(spec) for spec in specs]
-        assert lanes_mod.LAST_STATS["backend"] == backend
-        assert lanes_mod.LAST_STATS["lanes"] == len(lowered)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n_lanes", [1, 2, 3, 7])
-    def test_lane_count_never_changes_results(self, backend, n_lanes):
+    def test_lane_count_never_changes_results(self, n_lanes):
         # The same cell lowered N times must produce N identical
         # results, each equal to its per-cell run — lanes share
         # read-only columns but no mutable state.
         shared, lower, specs = _group("astar", ((4, 3),), warm=False,
                                       seed=1)
-        laned = _run_lanes(shared, [lower()[0] for _ in range(n_lanes)],
-                           backend)
+        laned = run_lane_cells(shared,
+                               [lower()[0] for _ in range(n_lanes)])
         assert laned == [_per_cell(specs[0])] * n_lanes
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lanes_cannot_share_an_rng(self, backend):
+    def test_lanes_cannot_share_an_rng(self):
         shared, lower, _ = _group("astar", ((4, 3),), warm=False, seed=1)
         lowered = lower()[0]
         with pytest.raises(ValueError, match="share an RNG"):
-            _run_lanes(shared, [lowered, lowered], backend)
-
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on host")
-    def test_backends_agree(self):
-        shared, lower, _ = _group("lbm", POW2_WINDOWS, warm=True, seed=2)
-        assert _run_lanes(shared, lower(), "python") == \
-            _run_lanes(shared, lower(), "native")
+            run_lane_cells(shared, [lowered, lowered])
 
     def test_mixed_group_fallback_cells_stay_scalar(self):
         # A (2, 2) window is not a power of two: it must fail lowering
@@ -180,28 +157,26 @@ class TestLaneIdentity:
         assert laned == [_per_cell(spec) for spec in eligible]
 
 
+@needs_kernel
 class TestCryptoLaneIdentity:
     """Figure 6/7 crypto lanes == per-cell ``run_cell``, bit for bit."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("size,assoc", FIG6_GEOMETRIES)
-    def test_figure6_geometry_matches_per_cell(self, backend, size, assoc):
+    def test_figure6_geometry_matches_per_cell(self, size, assoc):
         specs = _crypto_specs(size, assoc, seed=0)
-        assert _crypto_lanes(specs, backend) == [_per_cell(s) for s in specs]
+        assert _crypto_lanes(specs) == [_per_cell(s) for s in specs]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=4, deadline=None)
     @given(geometry=st.sampled_from(FIG6_GEOMETRIES),
            seed=st.integers(min_value=1, max_value=9),
            schemes=st.lists(st.sampled_from(FIGURE6_SCHEMES), min_size=1,
                             max_size=4, unique=True))
-    def test_seeds_and_scheme_mixes(self, backend, geometry, seed, schemes):
+    def test_seeds_and_scheme_mixes(self, geometry, seed, schemes):
         specs = _crypto_specs(*geometry, seed=seed, schemes=schemes)
-        assert _crypto_lanes(specs, backend) == [_per_cell(s) for s in specs]
+        assert _crypto_lanes(specs) == [_per_cell(s) for s in specs]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("size,assoc", [(8 * 1024, 1), (32 * 1024, 4)])
-    def test_figure7_windows_match_per_cell(self, backend, size, assoc):
+    def test_figure7_windows_match_per_cell(self, size, assoc):
         config = BASELINE_CONFIG.with_l1d(size, assoc)
         windows = [RandomFillWindow.bidirectional(w)
                    for w in (1, 2, 4, 8, 16, 32)]
@@ -209,7 +184,7 @@ class TestCryptoLaneIdentity:
                           window=(w.a, w.b), message_kb=1, seed=3,
                           config=config)
                  for w in windows]
-        assert _crypto_lanes(specs, backend) == [_per_cell(s) for s in specs]
+        assert _crypto_lanes(specs) == [_per_cell(s) for s in specs]
 
     @pytest.mark.parametrize("scheme", ("plcache_preload", "disable_cache"))
     def test_hooked_cell_runs_as_width_one_lane(self, scheme):
@@ -218,7 +193,6 @@ class TestCryptoLaneIdentity:
         lowered = lower_cell(spec, shared.config)
         assert lowered.l1_image or lowered.bypass    # a lane hook is set
         assert run_lane_cells(shared, [lowered]) == [_per_cell(spec)]
-        assert lanes_mod.LAST_STATS["lanes"] == 1
 
 
 #: power-of-two random-fill windows, most with a > 0: near line 0 their
@@ -235,17 +209,15 @@ def _advanced(rng, draws):
 
 
 def _every_kernel(spec, group, per_cell):
-    """One cell through the native lanes and the Python lanes, each
-    lowered afresh, then through ``per_cell`` (a zero-argument call of
-    the per-cell path) while recording the RNG its scheme build makes:
-    ``[(result, rng after, rng before)]``, the per-cell run last."""
-    runs = []
-    for backend in BACKENDS:
-        lowered = lower_cell(spec, group.config)
-        assert lowered is not None and lowered.policy_kind == 2
-        start = copy.deepcopy(lowered.rng)
-        (result,) = _run_lanes(group, [lowered], backend)
-        runs.append((result, lowered.rng, start))
+    """One cell through the lanes, then through ``per_cell`` (a
+    zero-argument call of the per-cell path) while recording the RNG
+    its scheme build makes: ``[(result, rng after, rng before)]``, the
+    per-cell run last."""
+    lowered = lower_cell(spec, group.config)
+    assert lowered is not None and lowered.policy_kind == 2
+    start = copy.deepcopy(lowered.rng)
+    (result,) = run_lane_cells(group, [lowered])
+    runs = [(result, lowered.rng, start)]
     made = []
     build = builtin_schemes.HardwareRng
 
@@ -290,11 +262,12 @@ def _rng_factory(width, buffer_size, drawn):
     return build
 
 
+@needs_kernel
 class TestInKernelDraws:
     """A random-fill lane draws from its cell's own RNG at each demand
-    miss: native lanes, Python lanes and the per-cell path agree bit for
-    bit, and each leaves the RNG where ``l1_demand_misses`` scalar
-    ``draw()`` calls leave it."""
+    miss: the lanes and the per-cell path agree bit for bit, and each
+    leaves the RNG where ``l1_demand_misses`` scalar ``draw()`` calls
+    leave it."""
 
     @settings(max_examples=25, deadline=None)
     @given(records=st.lists(st.tuples(st.integers(0, 300),
@@ -316,7 +289,7 @@ class TestInKernelDraws:
 
     def test_underflow_drops_are_exercised(self):
         # Every line misses once; with a = 31 most fills land below
-        # line 0, and all kernels must drop exactly those.
+        # line 0, and both paths must drop exactly those.
         trace = _small_trace([(line, 1) for line in range(24)])
         spec = CellSpec(kind="general", benchmark="astar",
                         scheme="random_fill", window=(31, 0), n_refs=24,
@@ -381,47 +354,28 @@ class TestInKernelDraws:
         assert not lane_eligible(spec)
         assert run_cell(spec).l1_demand_misses > 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rng_wider_than_one_word_is_rejected(self, backend):
+    def test_rng_wider_than_one_word_is_rejected(self):
         shared, lower, _ = _group("astar", ((4, 3),), warm=False, seed=1)
         lowered = lower()[0]
         lowered.rng = HardwareRng(1, width=33)
         with pytest.raises(ValueError, match="width"):
-            _run_lanes(shared, [lowered], backend)
+            run_lane_cells(shared, [lowered])
 
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on host")
     def test_native_call_that_cannot_run_leaves_rng_untouched(self):
         # mq_capacity above the kernel's drain scratch bound: the C
-        # entry refuses (-2) and no RNG may move.
+        # entry refuses (-2), the call raises and no RNG may move.
         shared, lower, _ = _group("astar", ((4, 3),), warm=False, seed=0)
         lowered = lower()[0]
         before = lowered.rng.word_state()
-        assert lanes_mod._run_native(
-            lanes_mod._native(), shared.line_array, shared.step_array,
-            shared.instructions, lowered.l1_num_sets, lowered.l1_assoc,
-            shared.l2_sets_view(), shared.l2_num_sets, shared.l2_assoc,
-            lowered.l2_hit_latency, 128, lowered.fill_reserve,
-            lowered.fill_queue_capacity, lowered.hit_cost, lowered.mlp,
-            lowered.credit, [lowered.lane_cell()], lowered.dram) is None
+        with pytest.raises(RuntimeError, match="code -2"):
+            run_lanes_general(
+                shared.line_array, shared.step_array, shared.instructions,
+                lowered.l1_num_sets, lowered.l1_assoc, shared.l2_sets_view(),
+                shared.l2_num_sets, shared.l2_assoc, lowered.l2_hit_latency,
+                128, lowered.fill_reserve, lowered.fill_queue_capacity,
+                lowered.hit_cost, lowered.mlp, lowered.credit,
+                [lowered.lane_cell()], lowered.dram)
         assert lowered.rng.word_state() == before
-
-    def test_failed_native_call_then_python_fallback(self, monkeypatch):
-        # A native call that scribbles over its state buffer and then
-        # fails must hand nothing back: the Python fallback starts from
-        # the untouched stream and matches a clean per-cell run.
-        def failing(*args):
-            args[6][0] = 12345           # state: the first lane's RNG block
-            return -1
-
-        monkeypatch.setattr(lanes_mod, "_native", lambda: failing)
-        shared, lower, specs = _group("lbm", ((16, 15),), warm=True, seed=3)
-        lowered = lower()[0]
-        start = copy.deepcopy(lowered.rng)
-        (laned,) = _run_lanes(shared, [lowered], None)
-        assert lanes_mod.LAST_STATS["backend"] == "python"
-        assert laned == _per_cell(specs[0])
-        assert lowered.rng.word_state() == \
-            _advanced(start, laned.l1_demand_misses).word_state()
 
 
 def _fresh_cache(monkeypatch, directory):
@@ -434,19 +388,19 @@ def _fresh_cache(monkeypatch, directory):
     monkeypatch.setattr(lanes_mod, "_native_error", None)
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on host")
+@needs_kernel
 class TestNativeArtifact:
-    """A bad cached library changes the backend, never the results."""
+    """A bad cached library is never called: no cell lowers, so every
+    cell takes the per-cell path, and the reason is reported once."""
 
     def _poisoned_run(self, monkeypatch, tmp_path, write):
         specs = _crypto_specs(8 * 1024, 1, seed=2)
-        expected = _crypto_lanes(specs, "native")
+        assert all(lane_eligible(spec) for spec in specs)
         _fresh_cache(monkeypatch, tmp_path)
         path = artifact_path()
         os.makedirs(os.path.dirname(path))
         write(path)
-        assert _crypto_lanes(specs, None) == expected
-        assert lanes_mod.LAST_STATS["backend"] == "python"
+        assert not any(lane_eligible(spec) for spec in specs)
         reason = lanes_mod.take_native_fallback()
         assert lanes_mod.take_native_fallback() is None    # reported once
         return reason
@@ -480,33 +434,6 @@ class TestNativeArtifact:
 
 
 class TestLaneKnobs:
-    def test_explicit_native_raises_without_compiler(self, monkeypatch):
-        monkeypatch.setattr(lanes_mod, "_native", lambda: None)
-        shared, lower, _ = _group("astar", ((0, 0),), warm=False, seed=0)
-        with pytest.raises(RuntimeError, match="native"):
-            _run_lanes(shared, lower(), "native")
-
-    def test_unknown_backend_rejected(self):
-        shared, lower, _ = _group("astar", ((0, 0),), warm=False, seed=0)
-        with pytest.raises(ValueError, match="backend"):
-            _run_lanes(shared, lower(), "cuda")
-
     def test_empty_lane_list_is_empty(self):
         shared, _, _ = _group("astar", ((0, 0),), warm=False, seed=0)
         assert run_lane_cells(shared, []) == []
-
-    def test_big_mshr_falls_back_to_python(self):
-        # The native kernel bounds its drain scratch at 64 MSHR
-        # entries; a larger capacity must transparently take the
-        # Python lanes (backend=None auto-selection), and identity with
-        # the per-cell path still holds at that capacity.
-        config = dataclasses.replace(BASELINE_CONFIG, mshr_entries=128)
-        spec = CellSpec(kind="general", benchmark="astar",
-                        scheme="random_fill", window=(4, 3), n_refs=1200,
-                        seed=0, warm=False, config=config)
-        shared = group_state_for(spec)
-        lowered = [lower_cell(spec, shared.config) for _ in range(2)]
-        assert lowered[0].mq_capacity == 128
-        laned = run_lane_cells(shared, lowered)
-        assert lanes_mod.LAST_STATS["backend"] == "python"
-        assert laned == [run_cell(spec)] * 2

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runner.pool as pool_mod
+from repro.cpu.lanes import native_available
 from repro.runner.batch import (
     MAX_BATCH,
     BatchItem,
@@ -376,6 +377,8 @@ class TestBitIdentity:
         assert last_run_stats()["batches"] == 0
         assert batched == percell
 
+    @pytest.mark.skipif(not native_available(),
+                        reason="no compiled lane kernel")
     def test_run_batch_mixed_eligibility(self):
         # One group, four cells: two run on the lane kernel, the
         # non-power-of-two window and the policy scheme fall back to

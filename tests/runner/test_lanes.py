@@ -6,14 +6,21 @@ and 1: a width-1 kernel call per lowered cell) produce identical
 results, checked mode bypasses lane planning entirely, and a lane
 batch that hangs splits back into the ordinary per-cell retry
 machinery exactly like any other batch.
+
+The compiled kernel is the only lane backend.  Tests that need it skip
+on a host that cannot build it; the fallback tests run either way:
+without the kernel, or for a cell it cannot run, a lane-kind cell takes
+the per-cell path.
 """
 
+import dataclasses
 import os
 import time
 
 import pytest
 
 from repro.cpu import lanes as lanes_mod
+from repro.cpu.batch import group_state_for, lane_eligible, lower_cell, run_lane_cells
 from repro.experiments.config import BASELINE_CONFIG
 from repro.experiments.perf_crypto import FIGURE6_SCHEMES
 
@@ -30,6 +37,9 @@ from repro.runner.cells import CellSpec, run_cell
 from repro.runner.pool import last_run_stats, run_cells
 from repro.runner.result_cache import ResultCache
 from repro.runner.telemetry import read_events
+
+needs_kernel = pytest.mark.skipif(not lanes_mod.native_available(),
+                                  reason="no compiled lane kernel")
 
 
 def _crypto_specs(geometries=((8 * 1024, 1),), seed=0, message_kb=1,
@@ -206,6 +216,7 @@ class TestLanePlanner:
 
 
 class TestLaneRuns:
+    @needs_kernel
     def test_widths_are_bit_identical(self, nocache, monkeypatch):
         specs = _general_specs(n=6)
         runs = {}
@@ -221,6 +232,7 @@ class TestLaneRuns:
                 assert stats["vectorized_cells"] == 0
         assert all(r == runs[0] for r in runs.values())
 
+    @needs_kernel
     def test_batch_finish_carries_lane_fields(self, nocache, tmp_path,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_LANES", "64")
@@ -233,6 +245,7 @@ class TestLaneRuns:
         assert finish["vectorized_cells"] == 4
         assert finish["scalar_fallback_cells"] == 0
 
+    @needs_kernel
     def test_mixed_eligibility_batch(self, monkeypatch):
         # (2, 2) is not a power of two and the policy scheme never
         # lowers: both run through run_cell inside the lane batch, and
@@ -254,6 +267,7 @@ class TestLaneRuns:
         assert [m.get("lane_width") for m in metas] == [3, 3, 3, None, None]
         assert results == [run_cell(spec) for spec in specs]
 
+    @needs_kernel
     def test_leftover_cell_of_a_grid_runs_on_a_lane(self, nocache,
                                                     monkeypatch):
         # Five cells at width 2 plan as 2 + 2 + 1: the leftover cell is
@@ -267,6 +281,7 @@ class TestLaneRuns:
         assert stats["batches"] == 3
         assert stats["vectorized_cells"] == 5
 
+    @needs_kernel
     def test_remainder_chunk_runs_as_width_one_lane(self):
         # Three lowered cells at width 2: a two-lane call, then the
         # remainder alone in a width-1 call — every cell on the kernel.
@@ -300,6 +315,7 @@ class TestLaneRuns:
         assert metas[0].get("lane_width") is None
         assert results == [run_cell(spec)]
 
+    @needs_kernel
     def test_crypto_batch_with_ineligible_member(self):
         # random_fill_newcache never lowers: it falls back to run_cell
         # inside the crypto batch while the Figure 6 schemes lane.
@@ -314,6 +330,7 @@ class TestLaneRuns:
         assert [m.get("lane_width") for m in metas] == [4, 4, 4, 4, None]
         assert results == [run_cell(spec) for spec in specs]
 
+    @needs_kernel
     def test_crypto_widths_are_bit_identical(self, nocache, monkeypatch):
         specs = _crypto_specs(((8 * 1024, 1), (32 * 1024, 4)), seed=2)
         runs = {}
@@ -327,11 +344,16 @@ class TestLaneRuns:
         assert runs[0] == [run_cell(spec) for spec in specs]
 
     def test_lanes_fallback_event_once(self, nocache, monkeypatch, tmp_path):
-        # A garbage artifact at the kernel's cache path: the run falls
-        # back to the Python kernel with identical results, and the
-        # telemetry names the reason exactly once.
-        specs = _crypto_specs(((8 * 1024, 1), (16 * 1024, 2)), seed=3)
+        # A garbage artifact at the kernel's cache path is never called:
+        # no cell lowers, so every cell of a grid mixing general and
+        # crypto groups runs per cell inside its batch, with the results
+        # of a run that plans no batches, and the telemetry names the
+        # reason exactly once.
+        specs = _general_specs(n=4) + _crypto_specs(
+            ((8 * 1024, 1), (16 * 1024, 2)), seed=3)
+        monkeypatch.setenv("REPRO_LANES", "0")
         expected = run_cells(specs, jobs=1, result_cache=nocache)
+        monkeypatch.setenv("REPRO_LANES", "64")
         monkeypatch.setenv("REPRO_LANES_CACHE", str(tmp_path / "lanes"))
         monkeypatch.setattr(lanes_mod, "_native_fn", None)
         monkeypatch.setattr(lanes_mod, "_native_tried", False)
@@ -342,6 +364,10 @@ class TestLaneRuns:
             fh.write(b"garbage")
         log = str(tmp_path / "telemetry.jsonl")
         assert run_cells(specs, jobs=1, result_cache=nocache, telemetry=log) == expected
+        stats = last_run_stats()
+        assert stats["batches"] == 3
+        assert stats["vectorized_cells"] == 0
+        assert stats["scalar_fallback_cells"] == len(specs)
         fallbacks = [e for e in read_events(log) if e["event"] == "lanes_fallback"]
         assert len(fallbacks) == 1
         assert fallbacks[0]["reason"].startswith("load failed")
@@ -366,6 +392,58 @@ class TestLaneRuns:
         assert "lane_width" not in batch_meta
         assert all("lane_width" not in m for m in metas)
         assert batch_meta.get("checks_run", 0) > 0
+
+
+class TestPerCellFallback:
+    """A cell the compiled kernel cannot run lowers to ``None`` and runs
+    through ``run_cell``; a kernel call that fails raises and leaves the
+    per-cell retry to the supervisor."""
+
+    def test_unavailable_kernel_lowers_nothing(self, monkeypatch):
+        monkeypatch.setattr(lanes_mod, "_native", lambda: None)
+        specs = _general_specs(n=4) + _crypto_specs()
+        assert not any(lane_eligible(spec) for spec in specs)
+
+    def test_big_mshr_runs_per_cell(self):
+        # The kernel bounds its drain scratch at 64 MSHR entries: a
+        # larger file does not lower, and its batch runs it per cell.
+        config = dataclasses.replace(BASELINE_CONFIG, mshr_entries=128)
+        spec = CellSpec(kind="general", benchmark="astar",
+                        scheme="random_fill", window=(4, 3), n_refs=1200,
+                        seed=0, warm=False, config=config)
+        assert lower_cell(spec, config) is None
+        batch = CellBatch("b0", "general", (spec,))
+        results, metas, batch_meta = run_batch(batch, lanes=64)
+        assert batch_meta["vectorized_cells"] == 0
+        assert batch_meta["scalar_fallback_cells"] == 1
+        assert results == [run_cell(spec)]
+
+    def test_failed_native_call_raises_and_runs_per_cell(
+            self, nocache, monkeypatch, tmp_path):
+        # A kernel call that scribbles over its state buffer and then
+        # fails raises and hands nothing back; the supervisor splits
+        # the batch and finishes its cells one by one.
+        def failing(*args):
+            args[6][0] = 12345           # state: the first lane's RNG block
+            return -1
+
+        specs = _general_specs(n=4)
+        monkeypatch.setenv("REPRO_LANES", "0")
+        expected = run_cells(specs, jobs=1, result_cache=nocache)
+        monkeypatch.setattr(lanes_mod, "_native", lambda: failing)
+        shared = group_state_for(specs[2])
+        lowered = lower_cell(specs[2], shared.config)
+        assert lowered.policy_kind == 2
+        before = lowered.rng.word_state()
+        with pytest.raises(RuntimeError, match="code -1"):
+            run_lane_cells(shared, [lowered])
+        assert lowered.rng.word_state() == before
+        monkeypatch.setenv("REPRO_LANES", "64")
+        log = str(tmp_path / "telemetry.jsonl")
+        assert run_cells(specs, jobs=1, result_cache=nocache, telemetry=log) == expected
+        assert last_run_stats()["vectorized_cells"] == 0
+        (split,) = [e for e in read_events(log) if e["event"] == "batch_split"]
+        assert "code -1" in split["error"]
 
 
 class TestLaneBatchFaults:

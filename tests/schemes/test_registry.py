@@ -22,6 +22,7 @@ from repro.schemes import (
     timing_scheme_names,
 )
 from repro.cpu.batch import lane_eligible
+from repro.cpu.lanes import native_available
 
 BUILTIN_SPECS = tuple(REGISTRY)
 
@@ -158,6 +159,7 @@ class TestLaneFlags:
     def _cell(self, scheme, window, kind="general"):
         return CellSpec(kind=kind, scheme=scheme, benchmark="astar", window=window)
 
+    @pytest.mark.skipif(not native_available(), reason="no compiled lane kernel")
     def test_flagged_schemes_lower(self):
         assert lane_eligible(self._cell("baseline", None))
         assert lane_eligible(self._cell("random_fill", (4, 3)))

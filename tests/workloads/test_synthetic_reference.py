@@ -9,18 +9,21 @@ at 0 and 1, ``p_hot + p_neighbor = 1``, a one-line working set,
 facts bulk synthesis rests on: numpy's MT19937, loaded with a
 ``random.Random`` state taken in mid-stream, yields the same words as
 successive ``getrandbits(32)`` calls; a write flag reproduces every bit
-of ``random()``, so it holds with ``write_ratio`` at a drawn value; and
-each layout walk counts exactly the words it drew.
+of ``random()``, so it holds with ``write_ratio`` at a drawn value;
+each layout walk counts exactly the words it drew; and no replay
+request is longer than the trace it flags.
 """
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workloads import synthetic
+from repro.workloads.spec import SPEC_BENCHMARKS, make_workload
 from tests.workloads import reference_synthetic as reference
 
 N_REFS = st.integers(1, 5000)
@@ -133,6 +136,16 @@ class TestMatchesReference:
     def test_pointer_chase(self, kwargs):
         _same("pointer_chase", kwargs)
 
+    @SETTINGS
+    @given(st.one_of(mixture_kwargs().map(lambda kw: ("locality_mixture", kw)),
+                     chase_kwargs().map(lambda kw: ("pointer_chase", kw))),
+           st.integers(2, 9))
+    def test_short_replay_blocks(self, case, block):
+        # Blocks of a few words put many records across a block edge,
+        # where the carried word is the record's first.
+        with mock.patch.object(synthetic, "_REPLAY_BLOCK", block):
+            _same(*case)
+
 
 def _mid_stream(seed, skip):
     """A ``random.Random`` that has drawn ``skip`` words since seeding."""
@@ -157,7 +170,7 @@ class TestReplay:
     @given(seed=SEEDS, skip=st.integers(1, 623), n_words=st.integers(1, 2000))
     def test_numpy_replay_equals_getrandbits(self, seed, skip, n_words):
         rng = _mid_stream(seed, skip)
-        words = synthetic._replay_words(rng.getstate(), n_words)
+        words = synthetic._mt19937(rng.getstate()).random_raw(n_words)
         assert words.tolist() == [rng.getrandbits(32) for _ in range(n_words)]
 
     @SETTINGS
@@ -209,3 +222,30 @@ class TestReplay:
         _, firsts, drawn = synthetic._chase_walk(rng, n_refs)
         assert firsts[0] == 0 and firsts[-1] + 3 <= drawn
         assert _advanced(state, drawn) == rng.getstate()
+
+
+class _SpyGenerator:
+    """Wraps a replay generator and records each ``random_raw`` size."""
+
+    def __init__(self, generator, sizes):
+        self.generator = generator
+        self.sizes = sizes
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.generator.random_raw(size)
+
+
+def test_replay_requests_never_outgrow_the_trace(monkeypatch):
+    # A trace draws 3.5-5.5 words per record: replaying them in one
+    # request would make the largest array of synthesis, whose release
+    # leaves later column-sized arrays on the heap.
+    sizes = []
+    mt19937 = synthetic._mt19937
+    monkeypatch.setattr(synthetic, "_mt19937",
+                        lambda state: _SpyGenerator(mt19937(state), sizes))
+    n_refs = 3000
+    for name in SPEC_BENCHMARKS:
+        sizes.clear()
+        make_workload(name, n_refs=n_refs, seed=1)
+        assert sizes and max(sizes) <= n_refs, (name, sizes)
