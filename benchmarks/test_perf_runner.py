@@ -72,6 +72,7 @@ from _reporting import save_report
 from repro import check as check_mod
 from repro.__main__ import main as repro_main
 
+from repro.cpu.lanes import native_available, take_native_fallback
 from repro.experiments.perf_crypto import cached_cbc_trace, figure6
 from repro.experiments.perf_general import figure10
 from repro.runner import CellSpec, record_bench, resolve_jobs, run_cell
@@ -386,6 +387,13 @@ def run():
 
 
 def test_runner_speedups(benchmark):
+    # The lane bars below time the compiled kernel.  Without it every
+    # cell runs per cell on both sides of each ratio, which would read
+    # as a lane regression: fail here instead, with the reason.
+    assert native_available(), (
+        "the compiled lane kernel is unavailable "
+        f"({take_native_fallback() or 'reason already reported'}); "
+        "the lane speedup bars need it")
     payload = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # Invariance: same bits for any job count and with the cache on/off.

@@ -10,11 +10,11 @@ kernel (:func:`repro.cpu.lanes.run_lanes_general`), which advances the
 cells of a group as lanes of one call:
 
 * :class:`GeneralGroupState` — the per-(trace, config, warm) inputs:
-  decoded int64 line/step columns of the measured slice (the lane
-  kernel reads them in place) and the warmed L2 contents as plain int
-  lists.  ``"general"`` groups decode a workload trace (warm split
-  optional); ``"crypto"`` groups decode the whole AES-CBC trace over an
-  empty L2,
+  decoded int64 line/step columns of the measured slice and of the
+  warm-up prefix, which the lane kernel reads in place (it replays the
+  prefix into the group's L2 itself; nothing is replayed in Python).
+  ``"general"`` groups decode a workload trace (warm split optional);
+  ``"crypto"`` groups decode the whole AES-CBC trace over an empty L2,
 * :func:`lower_cell` — build the cell's scheme exactly as its
   per-cell runner does (crypto cells with the AES tables protected,
   then the scheme's ``prepare()``, e.g. the PLcache preload), check
@@ -37,7 +37,7 @@ or a power-of-two random-fill window, plus two policy hooks: PLcache
 lock bits (a lock-aware victim choice) and the disable-cache scheme's
 L1 bypass of the protected lines.  Results are bit-identical to the
 per-cell path: the kernel is an exact transcription of the fused
-kernel plus settle, the warm replay mirrors the L2 warm-up of
+kernel plus settle, its warm replay is the L2 warm-up of
 ``run_general_workload``, the snapshot
 is the object model's own post-setup state, and every lane draws from
 its cell's RNG at the same point the fused kernel does, leaving it
@@ -46,8 +46,9 @@ where the per-cell run would.
 
 from __future__ import annotations
 
-
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cache.controller import DemandFetchPolicy
 from repro.cache.l2 import L2Cache
@@ -72,23 +73,28 @@ from repro.util.rng import WORD_BITS, HardwareRng
 _THREAD_ID = 0
 
 
+#: the warm-up prefix of a cold group
+_NO_LINES = np.empty(0, dtype=np.int64)
+
+
 def _l2_num_sets(config) -> int:
     return (config.l2_size // config.line_size) // config.l2_assoc
 
 
 class GeneralGroupState:
-    """Shared inputs of one batch group: decode columns + warm L2 state.
+    """Shared inputs of one batch group: decode columns + warm-up prefix.
 
     Built once per (trace, config, warm) group; every cell of the group
-    reads the same columns and warmed L2 sets, never mutating them (the
-    lane kernel copies the L2 per lane).  ``line_array`` /
-    ``step_array`` are the int64 columns the lane kernel reads;
+    reads the same columns, never mutating them.  ``line_array`` /
+    ``step_array`` are the int64 columns the lane kernel reads, and
+    ``warm_lines`` the warm-up prefix's line column (empty for a cold
+    group), which each kernel call replays into the group's L2;
     :attr:`lines` is the plain-list form of the line column, built on
     first use and memoized on the decode.
     """
 
-    __slots__ = ("config", "line_array", "step_array", "instructions",
-                 "l2_num_sets", "l2_assoc", "_decode", "_warm_l2_sets")
+    __slots__ = ("config", "line_array", "step_array", "warm_lines",
+                 "instructions", "l2_num_sets", "l2_assoc", "_decode")
 
     def __init__(self, trace: Trace, config, warm: bool):
         self.config = config
@@ -98,10 +104,10 @@ class GeneralGroupState:
             # split (and the same memoized slice/decode objects) as
             # run_general_workload.
             split = len(trace) // 2
-            footprint = trace.decoded(line_shift).warm_footprint(split)
+            self.warm_lines = trace.decoded(line_shift).lines()[:split]
             measured = trace[split:]
         else:
-            footprint = ()
+            self.warm_lines = _NO_LINES
             measured = trace
         decode = measured.decoded(line_shift)
         self._decode = decode
@@ -110,37 +116,11 @@ class GeneralGroupState:
         self.instructions: int = measured.instruction_count
         self.l2_num_sets = _l2_num_sets(config)
         self.l2_assoc = config.l2_assoc
-        # Flat replay of run_general_workload's L2 warm-up: access-or-
-        # fill per footprint line on MRU-first int lists (hits move to
-        # front, fills evict the LRU tail), matching SetAssociativeCache
-        # under LRU exactly.
-        l2_mask = self.l2_num_sets - 1
-        l2_assoc = self.l2_assoc
-        sets: List[List[int]] = [[] for _ in range(self.l2_num_sets)]
-        for line in footprint:
-            cache_set = sets[line & l2_mask]
-            if line in cache_set:
-                if cache_set[0] != line:
-                    cache_set.remove(line)
-                    cache_set.insert(0, line)
-            else:
-                if len(cache_set) >= l2_assoc:
-                    cache_set.pop()
-                cache_set.insert(0, line)
-        self._warm_l2_sets = sets
 
     @property
     def lines(self) -> List[int]:
         """Line address per measured record, as plain ints."""
         return self._decode.lines_list()
-
-    def l2_sets_view(self) -> List[List[int]]:
-        """The warmed L2 contents, MRU first — read-only for callers.
-
-        The lane kernel copies per lane internally, so sharing the
-        backing lists avoids one full L2 image copy per lane.
-        """
-        return self._warm_l2_sets
 
 
 def group_state_for(spec) -> GeneralGroupState:
@@ -386,7 +366,7 @@ def run_lane_cells(group: GeneralGroupState,
     return run_lanes_general(
         group.line_array, group.step_array, group.instructions,
         l1_num_sets=first.l1_num_sets, l1_assoc=first.l1_assoc,
-        l2_sets=group.l2_sets_view(),
+        warm_lines=group.warm_lines,
         l2_num_sets=group.l2_num_sets, l2_assoc=group.l2_assoc,
         l2_hit_latency=first.l2_hit_latency,
         mq_capacity=first.mq_capacity, fill_reserve=first.fill_reserve,

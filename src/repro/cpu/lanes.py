@@ -2,7 +2,8 @@
 
 The batched path amortizes trace decode and the warm-L2 replay across a
 group; this module then runs every lowered cell of the group as an
-independent *lane* over the shared columns in a single kernel call.  It
+independent *lane* over the shared columns in a single kernel call,
+which replays the warm-up into the group's L2 before the lanes start.  It
 is the only kernel lowered cells run on: a cell alone in its chunk is a
 width-1 call, and cells that do not lower run per cell through the
 object model (:func:`repro.runner.cells.run_cell`).
@@ -38,9 +39,19 @@ with the host toolchain and loaded through :mod:`ctypes`; results are
 settle, and for lanes with carried-in state or hooks, the object model
 the hooks transcribe) because the C code is a branch-for-branch
 transcription (drain order, fill-queue drop/merge rules, MSHR-full
-stall, MLP charge table with its prune threshold, and the settle loop)
-and every quantity fits int64 with all divisions on non-negative
-operands.
+stall, MLP charges and the settle loop) and every quantity fits int64
+with all divisions on non-negative operands.
+
+The MLP charges ride on the MSHR entries rather than in the fused
+kernel's ``charged`` dict: a demand miss puts its entry charged with
+its own completion, a random fill one charged -1, and a merge pays
+unless its entry's charge equals its completion.  The dict is only
+read on a merge, for a line in the MSHR, and every entry left after a
+drain completes after the current cycle, so a line that enters the
+MSHR again completes strictly after its earlier entry retired: the
+dict's older charge could never match either (the same argument makes
+``CHARGED_PRUNE_THRESHOLD`` invisible to results).  The warm-up
+replay runs through the kernel's own set helpers, once per call.
 
 Why C and not numpy record-steps: this kernel went through three
 measured all-Python designs first — the issue-sketched
@@ -89,7 +100,7 @@ _NATIVE_MQ_LIMIT = 64
 
 #: the ABI stamp ``lanes_kernel.c`` must export as ``run_lanes_abi``;
 #: a library without it (or with another value) is never called
-LANES_ABI = 3
+LANES_ABI = 4
 
 #: per-lane ``lane_info`` row length (``LANE_INFO`` in ``lanes_kernel.c``)
 _LANE_INFO = 10
@@ -252,7 +263,8 @@ def _native():
     ptr = ctypes.POINTER(ctypes.c_int64)
     fn = lib.run_lanes
     fn.restype = ctypes.c_int
-    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr] + [i64] * 17 + [ptr]
+    fn.argtypes = ([i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr]
+                   + [i64] * 17 + [ptr])
     _native_fn = fn
     return fn
 
@@ -346,7 +358,7 @@ def _pack_lanes(cells, l1_geometry, l2_geometry, dram_banks):
 
 def run_lanes_general(lines, steps, instructions,
                       l1_num_sets, l1_assoc,
-                      l2_sets, l2_num_sets, l2_assoc,
+                      warm_lines, l2_num_sets, l2_assoc,
                       l2_hit_latency, mq_capacity, fill_reserve,
                       fill_queue_capacity, hit_cost, mlp, credit,
                       cells: Sequence[LaneCell], dram) -> List[SimResult]:
@@ -359,8 +371,10 @@ def run_lanes_general(lines, steps, instructions,
     fill reserve, fill-queue capacity, L1 hit cost, MLP and overlap
     credit, and ``dram`` is the ``(lines_per_row, banks, hit_latency,
     miss_latency, hit_busy, miss_busy)`` timing tuple of the open-page
-    model.  ``l2_sets`` is the group's warmed L2 image (MRU-first int
-    lists, *not* mutated — each lane works on its own copy) and
+    model.  ``warm_lines`` is the group's warm-up prefix as an int64
+    line column (empty for a cold group): the kernel replays it into
+    an empty L2, as ``run_general_workload`` warms its L2, and every
+    lane without an L2 image starts from a copy of the result.
     ``cells`` holds one :class:`LaneCell` per lane: its policy split,
     carried-in state and hooks.  Returns one :class:`SimResult` per
     lane, bit-identical to running the cell through the per-cell path
@@ -380,18 +394,17 @@ def run_lanes_general(lines, steps, instructions,
     n_records = len(lines)
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     steps = np.ascontiguousarray(steps, dtype=np.int64)
+    warm_lines = np.ascontiguousarray(warm_lines, dtype=np.int64)
     if len(steps) != n_records:
         raise ValueError("lines and steps columns differ in length")
     info, state = _pack_lanes(
         cells, (l1_num_sets, l1_assoc), (l2_num_sets, l2_assoc), dram[1])
-    template = np.full(l2_num_sets * l2_assoc, -1, dtype=np.int64)
-    for s, ways in enumerate(l2_sets):
-        if ways:
-            template[s * l2_assoc:s * l2_assoc + len(ways)] = ways
+    template = np.empty(l2_num_sets * l2_assoc, dtype=np.int64)
     out = np.zeros(n_lanes * 7, dtype=np.int64)
     rc = fn(n_records, _as_ptr(lines), _as_ptr(steps),
-            n_lanes, _as_ptr(info), _as_ptr(template),
-            _as_ptr(state), l1_num_sets, l1_assoc, l2_num_sets, l2_assoc,
+            n_lanes, _as_ptr(info), _as_ptr(template), _as_ptr(state),
+            len(warm_lines), _as_ptr(warm_lines),
+            l1_num_sets, l1_assoc, l2_num_sets, l2_assoc,
             l2_hit_latency, mq_capacity, fill_reserve,
             fill_queue_capacity, hit_cost, mlp, credit,
             dram[0], dram[1], dram[2], dram[3], dram[4], dram[5],

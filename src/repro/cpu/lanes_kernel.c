@@ -20,12 +20,26 @@
  *
  * The transcription is branch-for-branch: the MissQueue drain order
  * (stable completion sort on insertion order), the fill-queue
- * drop/merge rules, the MSHR-full stall, the MLP charge table with its
- * prune threshold, and the end-of-run settle loop all mirror the fused
- * Python kernel exactly, so results are bit-identical per lane.  Every
- * quantity fits int64 (lines < 2^32, cycles grow by at most a few
- * hundred per record) and every division runs on non-negative
- * operands, so C arithmetic matches Python's exactly.
+ * drop/merge rules, the MSHR-full stall, the MLP charges and the
+ * end-of-run settle loop all mirror the fused Python kernel exactly,
+ * so results are bit-identical per lane.  Every quantity fits int64
+ * (lines < 2^32, cycles grow by at most a few hundred per record) and
+ * every division runs on non-negative operands, so C arithmetic
+ * matches Python's exactly.
+ *
+ * The fused kernel keeps its MLP charges in a dict (line -> completion
+ * already paid for) but only reads it on a merge, for a line in the
+ * MSHR.  Here the charge rides on the MSHR entry instead: a demand miss
+ * puts its entry charged with its own completion, a random fill puts
+ * one charged -1, and a merge pays unless the entry's charge equals
+ * its completion.  That is exact: every entry left after a drain
+ * completes after the current cycle, so a line that enters the MSHR
+ * again completes strictly after its earlier entry retired, and the
+ * dict's charge from that earlier entry can never match either.
+ *
+ * The group's warm L2 is built here too, once per call: the access-or-
+ * fill replay of run_general_workload's warm-up over the warm-up
+ * prefix, through the same set helpers the lanes use.
  *
  * Compiled on demand by repro/cpu/lanes.py with the host toolchain and
  * loaded via ctypes.  There is no second lane kernel: when no compiler
@@ -39,7 +53,7 @@
 
 /* ABI stamp checked by repro/cpu/lanes.py before it binds run_lanes:
  * bump on any change to run_lanes' arguments or their layout. */
-const int64_t run_lanes_abi = 3;
+const int64_t run_lanes_abi = 4;
 
 #define RT_NORMAL 0
 #define RT_NOFILL 1
@@ -71,70 +85,6 @@ const int64_t run_lanes_abi = 3;
 /* mirrors MissQueue.NEVER */
 #define NEVER (((int64_t)1) << 62)
 
-/* mirrors repro.cpu.timing.CHARGED_PRUNE_THRESHOLD */
-#define PRUNE_AT 8192
-/* open-addressing table: load factor <= 0.25 at the prune bound */
-#define CH_CAP 32768
-#define CH_MASK (CH_CAP - 1)
-
-typedef struct {
-    int64_t key[CH_CAP];        /* -1 = empty (lines are >= 0) */
-    int64_t val[CH_CAP];
-    int64_t count;
-} ChargeMap;
-
-static void ch_clear(ChargeMap *m)
-{
-    memset(m->key, 0xff, sizeof(m->key));
-    m->count = 0;
-}
-
-static inline uint64_t ch_slot(int64_t key)
-{
-    return (((uint64_t)key) * 0x9E3779B97F4A7C15ULL >> 32) & CH_MASK;
-}
-
-/* returns 1 and *val on hit, 0 on miss */
-static inline int ch_get(const ChargeMap *m, int64_t key, int64_t *val)
-{
-    uint64_t i = ch_slot(key);
-    while (m->key[i] != -1) {
-        if (m->key[i] == key) {
-            *val = m->val[i];
-            return 1;
-        }
-        i = (i + 1) & CH_MASK;
-    }
-    return 0;
-}
-
-static inline void ch_put(ChargeMap *m, int64_t key, int64_t val)
-{
-    uint64_t i = ch_slot(key);
-    while (m->key[i] != -1) {
-        if (m->key[i] == key) {
-            m->val[i] = val;
-            return;
-        }
-        i = (i + 1) & CH_MASK;
-    }
-    m->key[i] = key;
-    m->val[i] = val;
-    m->count++;
-}
-
-/* prune_charged: drop entries whose completion has passed */
-static void ch_prune(ChargeMap *m, ChargeMap *scratch, int64_t now)
-{
-    int64_t i;
-    ch_clear(scratch);
-    for (i = 0; i < CH_CAP; i++) {
-        if (m->key[i] != -1 && m->val[i] > now)
-            ch_put(scratch, m->key[i], m->val[i]);
-    }
-    memcpy(m, scratch, sizeof(*m));
-}
-
 typedef struct {
     /* shared columns */
     const int64_t *lines;
@@ -160,12 +110,13 @@ typedef struct {
     uint32_t mt[MT_N];
     int64_t mt_index, rng_shift, rng_size, rng_count;
     int64_t *rng_buf;
-    int64_t *mq_line, *mq_complete, *mq_type;   /* insertion order */
+    /* MSHR entries in insertion order; mq_charged is the completion
+     * the core has already been charged for (-1: none yet) */
+    int64_t *mq_line, *mq_complete, *mq_type, *mq_charged;
     int64_t mq_n;
     int64_t *fq;                /* ring buffer */
     int64_t fq_head, fq_n, fq_cap;
     int64_t *open_row, *bank_free;
-    ChargeMap *charged, *scratch;
     int64_t nc;
     int fills_blocked;
     /* counters */
@@ -343,11 +294,12 @@ static inline int mq_find(const Lane *ln, int64_t line)
 }
 
 static inline void mq_put(Lane *ln, int64_t line, int64_t complete_at,
-                          int64_t type)
+                          int64_t type, int64_t charged)
 {
     ln->mq_line[ln->mq_n] = line;
     ln->mq_complete[ln->mq_n] = complete_at;
     ln->mq_type[ln->mq_n] = type;
+    ln->mq_charged[ln->mq_n] = charged;
     ln->mq_n++;
     if (complete_at < ln->nc)
         ln->nc = complete_at;
@@ -380,6 +332,7 @@ static int64_t drain(Lane *ln, int64_t at)
             ln->mq_line[w] = ln->mq_line[i];
             ln->mq_complete[w] = ln->mq_complete[i];
             ln->mq_type[w] = ln->mq_type[i];
+            ln->mq_charged[w] = ln->mq_charged[i];
             if (ln->mq_complete[i] < nxt)
                 nxt = ln->mq_complete[i];
             w++;
@@ -424,7 +377,7 @@ static void issue_fills(Lane *ln, int64_t at)
             break;
         fq_pop(ln);
         ln->rf_issued++;
-        mq_put(ln, head, l2_access(ln, head, at), RT_RANDOM_FILL);
+        mq_put(ln, head, l2_access(ln, head, at), RT_RANDOM_FILL, -1);
     }
     ln->fills_blocked = ln->fq_n > 0;
 }
@@ -448,7 +401,8 @@ static int run_one_lane(Lane *ln, const int64_t *steps, int64_t now,
         if (ln->n_bypass && bypassed(ln, line)) {
             /* L1Controller.access_line's bypass: one L2 access charged
              * as a fresh demand miss with no MSHR stall; the L1, MSHR
-             * and fill queue are untouched */
+             * and fill queue are untouched, so the line never merges
+             * and its charge is not kept */
             complete_at = l2_access(ln, line, now);
             ln->demand_misses++;
             stall = 0;
@@ -472,21 +426,17 @@ static int run_one_lane(Lane *ln, const int64_t *steps, int64_t now,
             idx = mq_find(ln, line);
         }
         if (idx >= 0) {
-            int64_t prior;
+            /* a merge pays once per completion of its entry */
             completion = ln->mq_complete[idx];
             if (completion < now)
                 completion = now;
-            if (ch_get(ln->charged, line, &prior) && prior == completion) {
-                now += ln->hit_cost;
-            } else {
-                ch_put(ln->charged, line, completion);
-                now += ln->hit_cost;
+            now += ln->hit_cost;
+            if (ln->mq_charged[idx] != completion) {
+                ln->mq_charged[idx] = completion;
                 remaining = completion - now - ln->credit;
                 if (remaining > 0)
                     now += (remaining + ln->mlp - 1) / ln->mlp;
             }
-            if (ln->charged->count >= PRUNE_AT)
-                ch_prune(ln->charged, ln->scratch, now);
             continue;
         }
         stall = 0;
@@ -510,7 +460,7 @@ static int run_one_lane(Lane *ln, const int64_t *steps, int64_t now,
         if (policy_kind == 2) {
             int64_t fill_line;
             complete_at = l2_access(ln, line, access_now);
-            mq_put(ln, line, complete_at, RT_NOFILL);
+            mq_put(ln, line, complete_at, RT_NOFILL, complete_at);
             ln->fills_blocked = 0;
             fill_line = line + (rng_draw(ln) & ln->rf_mask) - ln->rf_a;
             if (ln->fq_n > 0) {
@@ -539,24 +489,21 @@ static int run_one_lane(Lane *ln, const int64_t *steps, int64_t now,
                     ln->rf_issued++;
                     mq_put(ln, fill_line,
                            l2_access(ln, fill_line, access_now),
-                           RT_RANDOM_FILL);
+                           RT_RANDOM_FILL, -1);
                 }
             }
         } else {
             complete_at = l2_access(ln, line, access_now);
-            mq_put(ln, line, complete_at, RT_NORMAL);
+            mq_put(ln, line, complete_at, RT_NORMAL, complete_at);
             ln->fills_blocked = 0;
             if (ln->fq_n > 0)
                 issue_fills(ln, access_now);
         }
     charge:
-        ch_put(ln->charged, line, complete_at);
         now += ln->hit_cost + stall;
         remaining = complete_at - now - ln->credit;
         if (remaining > 0)
             now += (remaining + ln->mlp - 1) / ln->mlp;
-        if (ln->charged->count >= PRUNE_AT)
-            ch_prune(ln->charged, ln->scratch, now);
     }
 
     /* end-of-run settle: issued fills and their L2/DRAM traffic count
@@ -606,14 +553,36 @@ static int64_t *load_image(int64_t *ways, int64_t *locks, int64_t n,
     return any ? locks : NULL;
 }
 
+/* The group's warm L2: run_general_workload's warm-up, access-or-fill
+ * over the warm-up prefix on an empty SetAssociativeCache with LRU.
+ * A hit moves the line to MRU and a miss installs it there, evicting
+ * the LRU way of a full set; a repeat of the previous line is a hit
+ * at MRU that moves nothing, so the prefix needs no deduplication. */
+static void warm_l2(int64_t *ways, int64_t num_sets, int64_t assoc,
+                    const int64_t *warm, int64_t n_warm)
+{
+    int64_t i, *set;
+    memset(ways, 0xff, num_sets * assoc * sizeof(int64_t));
+    for (i = 0; i < n_warm; i++) {
+        set = ways + (warm[i] & (num_sets - 1)) * assoc;
+        if (set_hit(set, assoc, warm[i]))
+            set_touch(set, NULL, assoc, warm[i]);
+        else
+            set_install(set, NULL, assoc, warm[i]);
+    }
+}
+
 /* Entry point: run every lane of a batch group over the shared trace.
- * lane_info holds one LANE_INFO row per lane; its offsets point into
- * state, which packs the carried-in images: an L1 or L2 image is the
- * set-major ways (MRU first, -1 = empty way) followed by as many lock
- * bits, the DRAM state is dram_banks open rows (-1 = none) followed by
+ * First the group's warm L2 is built into l2_template from the n_warm
+ * lines of warm (the warm-up prefix; none for a cold group): every
+ * lane without an L2 image starts from it, and the caller may read it
+ * back (with n_lanes 0 the call does nothing else).  lane_info holds
+ * one LANE_INFO row per lane; its offsets point into state, which
+ * packs the carried-in images: an L1 or L2 image is the set-major
+ * ways (MRU first, -1 = empty way) followed by as many lock bits, the
+ * DRAM state is dram_banks open rows (-1 = none) followed by
  * dram_banks bank-free cycles, and bypass ranges are [lo, hi) pairs.
- * Lanes without an L1 image start empty, without an L2 image from
- * l2_template (the group's warmed L2), without DRAM state idle.  A
+ * Lanes without an L1 image start empty, without DRAM state idle.  A
  * random-fill lane's RNG block (RNG_* layout) is advanced in place:
  * after the call it holds the words, index and buffer remainder that
  * the lane's draws left.  out receives 7 values per lane: cycles,
@@ -623,7 +592,8 @@ static int64_t *load_image(int64_t *ways, int64_t *locks, int64_t n,
 int run_lanes(int64_t n_records, const int64_t *lines,
               const int64_t *steps,
               int64_t n_lanes, const int64_t *lane_info,
-              const int64_t *l2_template, int64_t *state,
+              int64_t *l2_template, int64_t *state,
+              int64_t n_warm, const int64_t *warm,
               int64_t l1_num_sets, int64_t l1_assoc,
               int64_t l2_num_sets, int64_t l2_assoc,
               int64_t l2_hit_latency, int64_t mq_capacity,
@@ -642,6 +612,7 @@ int run_lanes(int64_t n_records, const int64_t *lines,
     int64_t *l1_lock, *l2_lock;
     if (mq_capacity > 64)
         return -2;                      /* drain scratch bound */
+    warm_l2(l2_template, l2_num_sets, l2_assoc, warm, n_warm);
     memset(&ln, 0, sizeof(ln));
     ln.lines = lines;
     ln.n_records = n_records;
@@ -671,14 +642,13 @@ int run_lanes(int64_t n_records, const int64_t *lines,
     ln.mq_line = malloc(mq_capacity * sizeof(int64_t));
     ln.mq_complete = malloc(mq_capacity * sizeof(int64_t));
     ln.mq_type = malloc(mq_capacity * sizeof(int64_t));
+    ln.mq_charged = malloc(mq_capacity * sizeof(int64_t));
     ln.fq = malloc(fq_cap * sizeof(int64_t));
     ln.open_row = malloc(dram_banks * sizeof(int64_t));
     ln.bank_free = malloc(dram_banks * sizeof(int64_t));
-    ln.charged = malloc(sizeof(ChargeMap));
-    ln.scratch = malloc(sizeof(ChargeMap));
     if (!ln.l1 || !ln.l2 || !l1_lock || !l2_lock || !ln.mq_line
-        || !ln.mq_complete || !ln.mq_type || !ln.fq || !ln.open_row
-        || !ln.bank_free || !ln.charged || !ln.scratch) {
+        || !ln.mq_complete || !ln.mq_type || !ln.mq_charged || !ln.fq
+        || !ln.open_row || !ln.bank_free) {
         rc = -1;
         goto done;
     }
@@ -714,7 +684,6 @@ int run_lanes(int64_t n_records, const int64_t *lines,
         }
         ln.bypass = info[8] >= 0 ? state + info[8] : NULL;
         ln.n_bypass = info[8] >= 0 ? info[9] : 0;
-        ch_clear(ln.charged);
         ln.mq_n = 0;
         ln.fq_head = 0;
         ln.fq_n = 0;
@@ -745,10 +714,9 @@ done:
     free(ln.mq_line);
     free(ln.mq_complete);
     free(ln.mq_type);
+    free(ln.mq_charged);
     free(ln.fq);
     free(ln.open_row);
     free(ln.bank_free);
-    free(ln.charged);
-    free(ln.scratch);
     return rc;
 }

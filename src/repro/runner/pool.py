@@ -214,6 +214,7 @@ class _Supervisor:
         self.results = results
         self.total = total
         self.done = 0
+        self.stores = 0
         self.attempts: Dict[int, int] = {}
         self.latencies: List[float] = []
         self.counters = dict(
@@ -241,6 +242,7 @@ class _Supervisor:
         self.results[index] = result
         if self.fingerprints[index] is not None:
             self.cache.store(self.fingerprints[index], result)
+            self.stores += 1
         self.counters["checks_run"] += meta.get("checks_run", 0)
         self.latencies.append(meta.get("wall_s", 0.0))
         self.done += 1
@@ -569,7 +571,9 @@ def run_cells(
     ``result_cache`` defaults to the process-wide
     :data:`~repro.runner.result_cache.RESULT_CACHE`; cells whose
     fingerprint is already stored are not recomputed, and every newly
-    finished cell is checkpointed back immediately.  Only specs that
+    finished cell is checkpointed back immediately.  The cache's size
+    budget is applied once, when a run that stored results finishes,
+    so a fully cached re-run never scans the directory.  Only specs that
     expose ``result_cache_token()`` participate — others always run and
     are counted as ``result_cache_uncacheable`` in
     :func:`last_run_stats`.
@@ -659,6 +663,8 @@ def run_cells(
                     _run_inline(sup, work)
                 else:
                     jobs_used = _run_supervised(sup, work, jobs)
+            if sup.stores:
+                cache.apply_budget()
         finally:
             # Recorded even when the run dies (e.g. a CheckViolation):
             # last_run_stats still reports what was counted up to the

@@ -25,11 +25,16 @@ The disk layout mirrors the trace cache: one pickle per fingerprint
 under ``~/.cache/repro/results`` (override with ``REPRO_RESULT_CACHE``,
 disable with ``0``/``off``/``none``/``disabled``), atomic writes, and
 the shared mtime-LRU size bound (``REPRO_CACHE_MAX_MB``, see
-:mod:`repro.util.diskcache`).  A corrupt entry — unreadable pickle or
-a stored fingerprint that does not match its file name — is
-*quarantined*: unlinked on first contact, counted in
-``corrupt_evicted``, and the cell recomputes; ``python -m repro cache
---stats`` runs the same integrity scan over the whole directory.
+:mod:`repro.util.diskcache`).  A store does not apply the bound:
+``run_cells`` calls :meth:`ResultCache.apply_budget` once at the end of
+a run that stored results, because one eviction scan stats every entry
+and a scan per store made a sweep quadratic in the directory size.
+
+A corrupt entry — unreadable pickle or a stored fingerprint that does
+not match its file name — is *quarantined*: unlinked on first contact,
+counted in ``corrupt_evicted``, and the cell recomputes; ``python -m
+repro cache --stats`` runs the same integrity scan over the whole
+directory.
 """
 
 from __future__ import annotations
@@ -218,10 +223,20 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
-            maybe_evict(self.disk_dir)
         except (OSError, pickle.PicklingError, TypeError, AttributeError):
             # Unpicklable results (or a full disk) only cost caching.
             self._count("store_failures")
+
+    def apply_budget(self) -> int:
+        """Evict the least recently used entries until the directory
+        fits ``REPRO_CACHE_MAX_MB``; returns how many were removed.
+
+        One call scans the whole directory, so ``run_cells`` makes it
+        once per run that stored results, not once per store.
+        """
+        if not self.enabled:
+            return 0
+        return maybe_evict(self.disk_dir)
 
     # -- maintenance ---------------------------------------------------------
 

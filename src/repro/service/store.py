@@ -7,8 +7,9 @@ service runs — a cell any previous sweep computed is served at cache
 speed without touching the worker pool, whoever submits it.
 
 :class:`ResultStore` is the minimal protocol ``run_cells`` actually
-uses (``lookup_spec`` / ``store`` / ``enabled``) plus the
-``stats_snapshot`` the ``/metrics`` endpoint reports.
+uses (``lookup_spec`` / ``store`` / ``enabled``, and ``apply_budget``
+once after a run that stored results) plus the ``stats_snapshot`` the
+``/metrics`` endpoint reports.
 :class:`DiskResultStore` is the current backend: a thin adapter over
 the existing content-addressed disk cache.  A future keyed object
 store (the ROADMAP's "pluggable backend") implements the same four
@@ -44,6 +45,12 @@ class ResultStore(abc.ABC):
     def stats_snapshot(self) -> Dict[str, Any]:
         """Thread-safe counters (hits/misses/...) for ``/metrics``."""
 
+    def apply_budget(self) -> int:
+        """Bound the backend's size after a run that stored results;
+        returns how many entries were evicted.  A backend without a
+        size bound keeps this no-op."""
+        return 0
+
     def warm_count(self, specs: Iterable[Any]) -> int:
         """How many of ``specs`` are already checkpointed.
 
@@ -76,6 +83,9 @@ class DiskResultStore(ResultStore):
 
     def store(self, fingerprint: str, result: Any) -> None:
         self.cache.store(fingerprint, result)
+
+    def apply_budget(self) -> int:
+        return self.cache.apply_budget()
 
     def stats_snapshot(self) -> Dict[str, Any]:
         snapshot = self.cache.stats_snapshot()

@@ -2,11 +2,15 @@
 
 Both disk layers — the trace cache (``traces/``) and the result cache
 (``results/``) — grow without limit as sweeps vary their parameters, so
-every store triggers an mtime-LRU sweep of its directory: when the
-directory exceeds its byte budget, the least recently *used* entries
-(oldest mtime; reads bump it) are deleted until it fits.  The budget is
-``REPRO_CACHE_MAX_MB`` megabytes per directory (default 512); ``0`` or
-a negative value disables eviction.
+each is swept by mtime LRU: when the directory exceeds its byte budget,
+the least recently *used* entries (oldest mtime; reads bump it) are
+deleted until it fits.  One sweep stats every file of the directory.
+The trace cache sweeps after every store (its entries are few and
+large); the result cache holds one small file per cell, so it sweeps
+once at the end of each ``run_cells`` call that stored results
+(:meth:`repro.runner.result_cache.ResultCache.apply_budget`).  The
+budget is ``REPRO_CACHE_MAX_MB`` megabytes per directory (default
+512); ``0`` or a negative value disables eviction.
 
 ``python -m repro cache --stats/--clear`` reports and empties the same
 directories.

@@ -30,7 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cpu.timing as timing_mod
 import repro.schemes.builtin as builtin_schemes
+from repro.cache.set_associative import SetAssociativeCache
 from repro.core.window import RandomFillWindow
 from repro.cpu import lanes as lanes_mod
 from repro.cpu.batch import (
@@ -370,12 +372,174 @@ class TestInKernelDraws:
         with pytest.raises(RuntimeError, match="code -2"):
             run_lanes_general(
                 shared.line_array, shared.step_array, shared.instructions,
-                lowered.l1_num_sets, lowered.l1_assoc, shared.l2_sets_view(),
+                lowered.l1_num_sets, lowered.l1_assoc, shared.warm_lines,
                 shared.l2_num_sets, shared.l2_assoc, lowered.l2_hit_latency,
                 128, lowered.fill_reserve, lowered.fill_queue_capacity,
                 lowered.hit_cost, lowered.mlp, lowered.credit,
                 [lowered.lane_cell()], lowered.dram)
         assert lowered.rng.word_state() == before
+
+
+def _kernel_warm_image(warm_lines, num_sets, assoc):
+    """The warm L2 the kernel builds from ``warm_lines``, one list of
+    lines per set, MRU first.  A call with no lanes only warms, and the
+    image is left in its template buffer."""
+    warm = np.asarray(warm_lines, dtype=np.int64)
+    template = np.empty(num_sets * assoc, dtype=np.int64)
+    unused = np.zeros(1, dtype=np.int64)
+    ptr = lanes_mod._as_ptr
+    # n_records, lines, steps, n_lanes, lane_info, l2_template, state,
+    # n_warm, warm, then the 17 scalars (L1 / L2 geometry, MSHR and
+    # fill-queue sizes, costs, DRAM timing) and out
+    rc = lanes_mod._native()(
+        0, ptr(unused), ptr(unused), 0, ptr(unused), ptr(template),
+        ptr(unused), len(warm), ptr(warm), 1, 1, num_sets, assoc,
+        *[1] * 13, ptr(unused))
+    assert rc == 0
+    return [[line for line in template[s * assoc:(s + 1) * assoc]
+             if line != -1]
+            for s in range(num_sets)]
+
+
+def _reference_warm_image(warm_lines, num_sets, assoc):
+    """``run_general_workload``'s L2 warm-up: access-or-fill over the
+    prefix's ``warm_footprint`` on a SetAssociativeCache with LRU."""
+    line_size = BASELINE_CONFIG.line_size
+    prefix = Trace(np.asarray(warm_lines, dtype=np.int64) * line_size,
+                   np.ones(len(warm_lines), dtype=np.int64),
+                   np.zeros(len(warm_lines), dtype=np.int64))
+    store = SetAssociativeCache(num_sets * assoc * line_size, assoc,
+                                line_size=line_size)
+    footprint = prefix.decoded(line_size.bit_length() - 1) \
+        .warm_footprint(len(prefix))
+    for line in footprint:
+        if not store.access(line):
+            store.fill(line)
+    return [[state.line_addr for state in ways] for ways in store._sets]
+
+
+#: (sets, ways) of the warm-image tests; the last is Figure 10's L2
+WARM_GEOMETRIES = ((1, 1), (1, 4), (2, 2), (8, 4), (4096, 8))
+
+
+@needs_kernel
+class TestWarmImage:
+    """The kernel's warm L2 equals the object model's after
+    ``run_general_workload``'s warm-up, way for way in LRU order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry=st.sampled_from(WARM_GEOMETRIES),
+           accesses=st.lists(st.tuples(st.integers(0, 3),
+                                       st.integers(0, 11),
+                                       st.integers(1, 3)),
+                             max_size=200))
+    def test_matches_set_associative_lru(self, geometry, accesses):
+        # (set, tag, repeats): up to twelve tags over four sets, so a set
+        # sees more lines than it has ways; tag 0 of set 0 is line 0, and
+        # each access repeats up to three times in a row
+        num_sets, assoc = geometry
+        warm = [tag * num_sets + s for s, tag, repeats in accesses
+                for _ in range(repeats)]
+        assert _kernel_warm_image(warm, num_sets, assoc) == \
+            _reference_warm_image(warm, num_sets, assoc)
+
+    @pytest.mark.parametrize("num_sets,assoc", WARM_GEOMETRIES)
+    def test_empty_prefix_is_an_empty_l2(self, num_sets, assoc):
+        assert _kernel_warm_image([], num_sets, assoc) == \
+            [[] for _ in range(num_sets)]
+
+    def test_figure10_prefix(self):
+        # A group's own warm-up prefix in Figure 10's L2; milc's sets
+        # hold up to four lines, so their LRU order is compared too.
+        spec = CellSpec(kind="general", benchmark="milc",
+                        scheme="random_fill", window=(4, 3), n_refs=100_000,
+                        seed=3, warm=True)
+        group = group_state_for(spec)
+        num_sets, assoc = group.l2_num_sets, group.l2_assoc
+        assert (num_sets, assoc) == (4096, 8)
+        warm = group.warm_lines.tolist()
+        assert len(warm) == 50_000
+        image = _kernel_warm_image(warm, num_sets, assoc)
+        assert image == _reference_warm_image(warm, num_sets, assoc)
+        assert max(len(ways) for ways in image) > 1
+
+
+def _charge_trace(x):
+    """Line ``x`` demand-misses and retires, it and ``y = x + 1`` are
+    evicted from the L1 (4 ways, 128 sets) by four lines each, then
+    ``y`` misses again — an L2 hit whose window-(1, 0) fill is ``x`` or
+    ``y`` — and ``x`` is read twice at once."""
+    long_gap = 4000                     # 1000 cycles: every miss retires
+    y = x + 1
+    records = [(x, 1), (y, long_gap)]
+    records += [(line + 128 * k, long_gap) for k in range(1, 5)
+                for line in (x, y)]
+    records += [(y, long_gap), (x, 0), (x, 0)]
+    return _small_trace(records)
+
+
+@needs_kernel
+class TestMshrCharges:
+    """The kernel keeps each MLP charge on its MSHR entry; the per-cell
+    kernels keep a ``charged`` dict pruned at
+    ``CHARGED_PRUNE_THRESHOLD`` entries.  Both charge alike."""
+
+    @pytest.mark.parametrize("spec", [
+        CellSpec(kind="general", benchmark=benchmark, scheme=scheme,
+                 window=window, n_refs=3000, seed=2, warm=warm)
+        for benchmark, scheme, window, warm in (
+            ("astar", "random_fill", (4, 3), True),
+            ("lbm", "random_fill", (16, 15), False),
+            ("lbm", "baseline", (0, 0), True),
+        )
+    ] + _crypto_specs(8 * 1024, 2, seed=1),
+        ids=lambda spec: f"{spec.scheme}-{spec.benchmark or 'aes'}")
+    def test_matches_per_cell_pruned_at_16(self, monkeypatch, spec):
+        # No tier-1 trace reaches the 8,192-entry prune.  At 16 the
+        # per-cell dict is pruned every few misses, the kernel keeps no
+        # dict at all, and the results agree.
+        shared = group_state_for(spec)
+        (laned,) = run_lane_cells(shared, [lower_cell(spec, shared.config)])
+        prunes = []
+        prune = timing_mod.prune_charged
+        monkeypatch.setattr(timing_mod, "CHARGED_PRUNE_THRESHOLD", 16)
+        monkeypatch.setattr(timing_mod, "prune_charged",
+                            lambda *args: prunes.append(1) or prune(*args))
+        assert laned == run_cell(spec)
+        assert prunes
+
+    def test_a_line_back_in_the_mshr_pays_its_first_merge(self):
+        x = 1000
+        trace = _charge_trace(x)
+        hit_cost = BASELINE_CONFIG.l1_hit_latency
+        scenarios = 0
+        for seed in range(16):
+            spec = CellSpec(kind="general", benchmark="astar",
+                            scheme="random_fill", window=(1, 0),
+                            n_refs=len(trace), seed=seed, warm=False)
+            runs = []
+            for prefix in (trace[:-2], trace[:-1], trace):
+                group = GeneralGroupState(prefix, spec.config, warm=False)
+                (laned,) = run_lane_cells(
+                    group, [lower_cell(spec, group.config)])
+                assert laned == run_general_workload(
+                    "astar", (1, 0), spec.config, seed=seed, trace=prefix,
+                    warm=False)
+                runs.append(laned)
+            before, first, second = runs
+            if not (first.l1_hits == before.l1_hits
+                    and first.l1_demand_misses == before.l1_demand_misses):
+                continue            # x was resident or missed: no merge
+            # Both reads of x merged into the random fill of x that y's
+            # miss issued.  x was charged when it first missed, but that
+            # charge belongs to an entry that has retired: the first
+            # merge pays more than a hit, the second only a hit.
+            scenarios += 1
+            assert second.l1_demand_misses == first.l1_demand_misses
+            assert second.l1_hits == first.l1_hits
+            assert first.cycles - before.cycles > hit_cost
+            assert second.cycles - first.cycles == hit_cost
+        assert scenarios >= 2
 
 
 def _fresh_cache(monkeypatch, directory):

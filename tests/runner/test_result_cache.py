@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 import repro.runner.result_cache as result_cache_mod
+import repro.util.diskcache as diskcache
 from repro.runner.cells import CellSpec
 from repro.runner.pool import last_run_stats, run_cells
 from repro.runner.result_cache import (
@@ -264,3 +265,51 @@ class TestRunCellsIntegration:
                             SIM_CODE_VERSION + 1)
         run_cells(specs, jobs=1, result_cache=cache)
         assert TokenSpec.calls == 2
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Directories the disk caches' eviction sweeps scanned, in order."""
+    seen = []
+    scan = diskcache._scan
+
+    def counting(directory):
+        seen.append(directory)
+        return scan(directory)
+
+    monkeypatch.setattr(diskcache, "_scan", counting)
+    return seen
+
+
+class TestSizeBudget:
+    """The result cache applies ``REPRO_CACHE_MAX_MB`` once per run that
+    stored results, not on every store."""
+
+    def test_store_does_not_scan(self, cache, scans, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.001")
+        for value in range(10):
+            cache.store(f"{value:064x}", {"value": value})
+        assert scans == []
+        assert len(os.listdir(cache.disk_dir)) == 10
+
+    def test_run_ends_within_budget_after_one_scan(self, cache, scans,
+                                                   monkeypatch):
+        # A 1,048-byte budget holds a few of the 20 entries (~150 bytes
+        # each) the run stores.
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.001")
+        specs = [TokenSpec(value) for value in range(20)]
+        assert run_cells(specs, jobs=1, result_cache=cache) == \
+            [spec.run() for spec in specs]
+        assert scans == [cache.disk_dir]
+        sizes = [os.path.getsize(os.path.join(cache.disk_dir, name))
+                 for name in os.listdir(cache.disk_dir)]
+        assert 0 < len(sizes) < len(specs)
+        assert sum(sizes) <= 1048
+
+    def test_fully_cached_rerun_does_not_scan(self, cache, scans):
+        specs = [TokenSpec(value) for value in range(5)]
+        run_cells(specs, jobs=1, result_cache=cache)
+        assert scans == [cache.disk_dir]
+        run_cells(specs, jobs=1, result_cache=cache)
+        assert last_run_stats()["result_cache_hits"] == len(specs)
+        assert scans == [cache.disk_dir]

@@ -1,5 +1,6 @@
 """Tests for the ResultStore interface and its disk backend."""
 
+import os
 import threading
 
 from repro.runner.cells import CellSpec
@@ -39,6 +40,20 @@ class TestDiskResultStore:
         snapshot = store.stats_snapshot()
         assert snapshot["hits"] >= 1
         assert snapshot["backend"] == "disk"
+
+    def test_run_cells_applies_the_budget_through_the_store(
+            self, tmp_path, monkeypatch):
+        store = make_store(tmp_path)
+        for value in range(10):
+            store.store(f"{value:064x}", {"value": value})
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.001")
+        specs = [CellSpec(kind="general", benchmark="astar", window=(0, 0),
+                          n_refs=400, seed=2)]
+        run_cells(specs, jobs=1, result_cache=store, progress=False)
+        directory = store.cache.disk_dir
+        assert sum(os.path.getsize(os.path.join(directory, name))
+                   for name in os.listdir(directory)) <= 1048
+        assert store.apply_budget() == 0
 
     def test_stats_snapshot_shape(self, tmp_path):
         store = make_store(tmp_path)
