@@ -19,17 +19,19 @@ paper's warm-up analysis and is what P1/P2 are defined over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.cache.context import DEFAULT_CONTEXT, AccessContext
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.tagstore import TagStore
 from repro.core.window import RandomFillWindow
-from repro.crypto.traced_aes import AesMemoryLayout, TracedAES128
 from repro.secure.newcache import Newcache
 from repro.util.rng import HardwareRng, derive_seed
 
 import random
+
+if TYPE_CHECKING:  # pragma: no cover - the AES tables load on first use
+    from repro.crypto.traced_aes import AesMemoryLayout
 
 
 class FunctionalRandomFillCache:
@@ -113,7 +115,7 @@ def monte_carlo_p1_p2(tag_store_factory: TagStoreFactory,
                       trials: int = 20_000,
                       seed: int = 0,
                       key: Optional[bytes] = None,
-                      layout: AesMemoryLayout = AesMemoryLayout()) -> P1P2Result:
+                      layout: Optional[AesMemoryLayout] = None) -> P1P2Result:
     """Estimate P1 - P2 over the final-round T4 lookup pairs.
 
     Each trial encrypts one random-plaintext block starting from a clean
@@ -121,8 +123,14 @@ def monte_carlo_p1_p2(tag_store_factory: TagStoreFactory,
     lookups, the hit/miss of lookup ``w`` lands in the collision or
     no-collision bucket according to line equality with lookup ``u``.
     """
+    # Imported here: building the AES tables costs ~40 ms, which every
+    # importer of the functional caches would otherwise pay.
+    from repro.crypto.traced_aes import AesMemoryLayout, TracedAES128
+
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
+    if layout is None:
+        layout = AesMemoryLayout()
     master = random.Random(seed)
     key = key if key is not None else bytes(master.randrange(256)
                                             for _ in range(16))

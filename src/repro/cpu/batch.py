@@ -99,19 +99,22 @@ class GeneralGroupState:
     def __init__(self, trace: Trace, config, warm: bool):
         self.config = config
         line_shift = config.line_size.bit_length() - 1
+        lines = trace.decoded(line_shift).lines()
         if warm:
             # Warm on the first half, measure the second — the same
             # split (and the same memoized slice/decode objects) as
-            # run_general_workload.
+            # run_general_workload.  Both halves are views of the full
+            # trace's line column.
             split = len(trace) // 2
-            self.warm_lines = trace.decoded(line_shift).lines()[:split]
+            self.warm_lines = lines[:split]
+            self.line_array = lines[split:]
             measured = trace[split:]
         else:
             self.warm_lines = _NO_LINES
+            self.line_array = lines
             measured = trace
         decode = measured.decoded(line_shift)
         self._decode = decode
-        self.line_array = decode.lines()
         self.step_array = decode.issue_step_array(config.issue_width)
         self.instructions: int = measured.instruction_count
         self.l2_num_sets = _l2_num_sets(config)

@@ -101,6 +101,11 @@ class JobHandle:
         side effects wait for ``settled`` instead."""
         return self._settled.is_set()
 
+    def wait_settled(self, timeout: Optional[float] = None) -> bool:
+        """Block until the job has settled (see :attr:`settled`);
+        ``True`` once it has, ``False`` if ``timeout`` elapses first."""
+        return self._settled.wait(timeout)
+
     def published_state(self) -> str:
         """The state to show readers of the observers' side effects.
 

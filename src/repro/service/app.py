@@ -21,8 +21,11 @@ Endpoints (all JSON; errors are ``{"error": {"code", "message", ...}}``):
 The asyncio event loop only ever does cheap work: submissions validate
 and enqueue (the simulation itself runs on the
 :class:`~repro.runner.jobs.JobRunner` executor thread and its process
-pool), reads are dict snapshots, and the event stream polls the sweep's
-JSONL file with the partial-line-tolerant incremental reader.
+pool), reads are dict snapshots, and the event stream reads the sweep's
+JSONL file with the partial-line-tolerant incremental reader.  Between
+reads it waits on the sweep's job handle on an executor thread, so a
+follow stream ends as soon as the sweep settles; the poll interval only
+paces a running sweep's progress rows.
 
 ``run_server`` blocks (the ``python -m repro serve`` path);
 ``serve_in_thread`` boots the same server on a background thread and
@@ -62,7 +65,8 @@ from repro.service.http import (
 from repro.service.sweeps import ServiceConfig, ServiceError, SweepService
 from repro.util.stats import percentile
 
-#: how often the event streamer polls the JSONL file for new lines
+#: how often a follow stream re-reads a running sweep's JSONL file for
+#: progress rows (a settled sweep wakes the stream at once)
 _EVENT_POLL_S = 0.05
 
 #: hard ceiling on one follow-mode stream (a wedged sweep must not pin
@@ -130,6 +134,7 @@ class ServiceApp:
         offset = request.int_query("from", 0)
         chunks = ChunkWriter(writer)
         await chunks.start()
+        loop = asyncio.get_running_loop()
         deadline = time.monotonic() + _EVENT_FOLLOW_TIMEOUT_S
         sent = 0
         while True:
@@ -159,7 +164,10 @@ class ServiceApp:
                 continue
             if not follow or finished or time.monotonic() > deadline:
                 break
-            await asyncio.sleep(_EVENT_POLL_S)
+            # Wake the moment the job settles (its sweep_finish row is
+            # then on disk); a running sweep's progress rows are picked
+            # up once per _EVENT_POLL_S.
+            await loop.run_in_executor(None, sweep.handle.wait_settled, _EVENT_POLL_S)
         await chunks.finish()
 
     # -- connection handling -------------------------------------------------

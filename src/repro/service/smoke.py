@@ -8,9 +8,12 @@ client would:
 2. stream its telemetry while it runs (``GET /sweeps/{id}/events``),
 3. fetch the paginated results and pin them **bit-identical** against
    a direct in-process ``run_cells`` of the same specs,
-4. re-submit the identical grid and assert the warm run is served
-   entirely from the shared result store — zero cells simulated, no
-   pool work — and that ``/metrics`` shows the cache hits,
+4. re-submit the identical grid, follow its event stream to the end
+   and assert that the stream's end alone means the sweep is over (the
+   last row is ``sweep_finish`` and the status reads ``done``), that
+   the warm run is served entirely from the shared result store —
+   zero cells simulated, no pool work — and that ``/metrics`` shows
+   the cache hits,
 5. exercise the structured failure paths: malformed spec -> 400,
    unknown codec version -> 400.
 
@@ -178,13 +181,19 @@ def run_normal(args) -> None:
         check(over_http == expected, "HTTP results bit-identical to direct run_cells")
 
         warm = client.submit(specs)
-        warm_status = client.wait(warm["id"], timeout=120)
+        # Follow the stream before any wait: the stream's end alone
+        # must mean the sweep is over.
+        warm_events = [event["event"] for event in client.stream_events(warm["id"])]
+        warm_status = client.sweep(warm["id"])
+        check(
+            warm_status["state"] == "done" and warm_events[-1:] == ["sweep_finish"],
+            f"warm event stream ended on sweep_finish, sweep {warm_status['state']}",
+        )
         stats = warm_status["last_run_stats"]
         check(
             stats["result_cache_hits"] == len(specs) and stats["result_cache_misses"] == 0,
             f"warm re-submission served {len(specs)}/{len(specs)} cells from the shared store",
         )
-        warm_events = [event["event"] for event in client.stream_events(warm["id"])]
         check(
             "cell_start" not in warm_events and "batch_start" not in warm_events,
             "warm re-submission scheduled zero pool work",

@@ -53,6 +53,7 @@ from repro.experiments.perf_crypto import FIGURE6_SCHEMES
 from repro.experiments.perf_general import run_general_workload
 from repro.runner.cells import CellSpec, run_cell
 from repro.util.rng import HardwareRng
+from repro.workloads.cache import cached_workload
 
 #: pow2 windows the kernels cover, plus demand fetch; the (2, 2)
 #: window is non-power-of-two and must fail lowering (fallback path)
@@ -550,6 +551,25 @@ def _fresh_cache(monkeypatch, directory):
     monkeypatch.setattr(lanes_mod, "_native_fn", None)
     monkeypatch.setattr(lanes_mod, "_native_tried", False)
     monkeypatch.setattr(lanes_mod, "_native_error", None)
+
+
+class TestGroupState:
+    """A group's measured line column is a view of the full trace's
+    decode, not a second decode of the measured half."""
+
+    @pytest.mark.parametrize("program", ["astar", "lbm"])
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_line_column_is_a_view_of_the_full_decode(self, program, warm):
+        trace = cached_workload(program, n_refs=4000, seed=3)
+        group = GeneralGroupState(trace, BASELINE_CONFIG, warm)
+        shift = BASELINE_CONFIG.line_size.bit_length() - 1
+        full = trace.decoded(shift).lines()
+        split = len(trace) // 2 if warm else 0
+        assert np.shares_memory(group.line_array, full)
+        assert np.array_equal(group.line_array,
+                              trace[split:].decoded(shift).lines())
+        assert np.array_equal(group.warm_lines, full[:split])
+        assert group.lines == group.line_array.tolist()
 
 
 @needs_kernel

@@ -89,6 +89,7 @@ class TestLifecycle:
         handle = runner.submit([object()], jobs=1, progress=False)
         with pytest.raises(RuntimeError, match="failed"):
             handle.result(timeout=120)
+        assert handle.wait_settled(60) is True
         snapshot = handle.poll()
         assert snapshot["state"] == "failed"
         assert snapshot["error"]
@@ -98,6 +99,14 @@ class TestLifecycle:
         with pytest.raises(TimeoutError):
             handle.result(timeout=0.05)
         assert handle.result(timeout=120)  # still completes afterwards
+
+    def test_wait_settled_wakes_when_the_job_settles(self, runner):
+        handle = runner.submit([slow_spec(2)], jobs=1, progress=False)
+        assert handle.wait_settled(0.05) is False
+        started = time.monotonic()
+        assert handle.wait_settled(60) is True
+        assert time.monotonic() - started < 30  # woken, not timed out
+        assert handle.state == "done"
 
 
 class TestQueueBound:
@@ -143,11 +152,10 @@ class TestCancel:
         )
         assert victim.cancel() is True
         assert victim.state == "cancelled"
+        assert victim.wait_settled(0) is False  # still in the queue
         blocker.result(timeout=120)
-        # Give the executor a beat: it must skip the cancelled job.
-        deadline = time.monotonic() + 10
-        while runner.running() is not None and time.monotonic() < deadline:
-            time.sleep(0.005)
+        # The executor pops the job, declines to run it and settles it.
+        assert victim.wait_settled(60) is True
         assert "running" not in transitions
         with pytest.raises(RuntimeError, match="cancelled"):
             victim.result(timeout=1)
@@ -168,6 +176,7 @@ class TestCancel:
         # Settled before cancel() returned: observers ran exactly once,
         # and the terminal state is published while the blocker runs.
         assert victim.settled
+        assert victim.wait_settled(0) is True
         assert victim.published_state() == "cancelled"
         assert transitions == ["cancelled"]
         assert runner.queued() == 0
@@ -188,10 +197,9 @@ class TestCancel:
         handle.result(timeout=120)
         assert handle.state == "done"
         assert handle.published_state() == "running"
+        assert handle.wait_settled(0.05) is False
         release.set()
-        deadline = time.monotonic() + 30
-        while not handle.settled and time.monotonic() < deadline:
-            time.sleep(0.005)
+        assert handle.wait_settled(30) is True
         assert seen == ["running"]
         assert handle.published_state() == "done"
 
@@ -242,4 +250,5 @@ class TestObservers:
         )
         runner.shutdown(wait=True, cancel_queued=True)
         assert queued.state == "cancelled"
+        assert queued.wait_settled(0) is True
         assert transitions == ["cancelled"]

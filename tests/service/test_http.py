@@ -8,9 +8,11 @@ shared one.
 
 import http.client
 import json
+import time
 
 import pytest
 
+import repro.service.app as app_mod
 from repro.leakage.sweep import LeakageCellSpec
 from repro.runner.pool import run_cells
 from repro.runner.result_cache import ResultCache
@@ -153,6 +155,55 @@ class TestHappyPath:
         assert metrics["limits"]["max_cells_per_request"] == 32
         assert "pytest" in metrics["clients"]
         assert metrics["http_latency"]["count"] >= 1
+
+
+class TestStreamEndsWhenSettled:
+    """A follow stream ends as soon as its sweep settles, not at the
+    next poll: with the poll stretched to 30 s, every stream below
+    still ends within seconds, on its ``sweep_finish`` row, and the
+    sweep reads terminal right after."""
+
+    #: far below the stretched poll, far above a tiny sweep's run time
+    BOUND_S = 10.0
+
+    @pytest.fixture(autouse=True)
+    def slow_poll(self, monkeypatch):
+        monkeypatch.setattr(app_mod, "_EVENT_POLL_S", 30.0)
+
+    @pytest.fixture
+    def client(self, server):
+        return ServiceClient(server.host, server.port, client_id="pytest",
+                             timeout=120, retries=0)
+
+    def test_cold_and_warm_streams(self, client):
+        specs = eq7_grid(n=3, trials=70)
+        for expect_misses in (len(specs), 0):
+            sweep_id = client.submit(specs)["id"]
+            started = time.monotonic()
+            events = list(client.stream_events(sweep_id))
+            assert time.monotonic() - started < self.BOUND_S
+            assert events[-1]["event"] == "sweep_finish"
+            assert events[-1]["state"] == "done"
+            status = client.sweep(sweep_id)
+            assert status["state"] == "done"
+            stats = status["last_run_stats"]
+            assert stats["result_cache_misses"] == expect_misses
+
+    def test_queued_sweep_cancelled_under_an_open_stream(self, client):
+        blocker = client.submit(slow_grid(seed=102))["id"]
+        queued = client.submit(eq7_grid(n=1, trials=71))["id"]
+        stream = client.stream_events(queued)
+        assert next(stream)["event"] == "sweep_submitted"
+        assert client.sweep(queued)["state"] == "queued"
+        started = time.monotonic()
+        assert client.cancel(queued)["state"] == "cancelled"
+        rest = list(stream)
+        assert time.monotonic() - started < self.BOUND_S
+        assert rest[-1]["event"] == "sweep_finish"
+        assert rest[-1]["state"] == "cancelled"
+        assert client.sweep(queued)["state"] == "cancelled"
+        client.cancel(blocker)
+        client.wait(blocker, timeout=120)
 
 
 class TestLifecycleErrors:

@@ -62,6 +62,14 @@ def test_kernel_import_skips_harness_and_aes_tables():
         " if m in sys.modules))") == "[]"
 
 
+def test_leakage_import_skips_aes_tables():
+    # The functional caches the leakage grid uses need no AES; the
+    # Table III Monte Carlo loads the tables when it runs.
+    assert _fresh_python(
+        "import sys, repro.leakage.sweep; "
+        "print('repro.crypto' in sys.modules)") == "False"
+
+
 def test_every_package_imports_first():
     # With no eager package imports fixing the order, an import cycle
     # (the runner and the experiment harness import each other) shows
