@@ -19,22 +19,24 @@ engine, the content-addressed result cache, and the lane kernel:
   replay per benchmark group, then every cell of the group advancing
   as a lane of one lane-kernel call, drawing each random-fill offset
   from the cell's RNG at its demand miss) must be >= 2.25x faster than
-  the same sweep with ``REPRO_LANES=0`` (no batches: per-cell
-  ``TimingModel.run``), and bit-identical to it,
+  the same sweep on the object model (no batches and no cell lowered:
+  ``TimingModel.run`` per cell), and bit-identical to it,
 * the **Figure 6** crypto grid (36 AES-CBC cells at a 1 KB message),
   whose per-geometry batches run the four schemes as lanes with the
   PLcache lock bits and the disable-cache bypass as kernel hooks, must
-  be >= 3x faster than the same grid with ``REPRO_LANES=0`` (per-cell
-  ``TimingModel.run``), and bit-identical to it,
+  be >= 3x faster than the same grid on the object model, and
+  bit-identical to it,
 * a **warm** identical re-run must be >= 10x faster than cold, served
   entirely from the result cache,
 * results are bit-identical cold vs. warm (cache off vs. on) and
   ``jobs=1`` vs. ``jobs=N``,
 * checked mode (``REPRO_CHECK``) must keep bypassing lane planning
-  (every checked cell takes the per-cell oracle path) and its on-mode
-  slowdown must stay under a soft ceiling,
-* neither ``single_cell_s`` nor ``fig10_20k_sweep_s`` may regress more
-  than 30% against the committed baseline (the CI perf smoke gate),
+  and the kernel (every checked cell runs the object model under the
+  oracle), and its on-mode slowdown over the unchecked object model
+  must stay under a soft ceiling,
+* neither ``single_cell_s`` (one ``run_cell``: a width-1 kernel call)
+  nor ``fig10_20k_sweep_s`` may regress more than 30% against the
+  committed baseline (the CI perf smoke gate),
 * the CLI's ``leakage --smoke`` grid (functional trial loops and
   estimators, no timing model) at ``jobs=1`` may not regress more than
   30% against its baseline either.  This is a regression gate only: its
@@ -100,7 +102,7 @@ BASE_LEAKAGE_SMOKE_S = 1.50
 #: CI perf smoke gate: fail on more than this regression vs. the baseline
 MAX_REGRESSION = 1.30
 
-#: message size of the Figure 6 lane-vs-per-cell gate (KB)
+#: message size of the Figure 6 lane-vs-object-model gate (KB)
 FIG6_MESSAGE_KB = 1
 
 #: Figure 10 lane sweep vs the per-cell sweep: 1.5 x 1.5, the product
@@ -108,8 +110,8 @@ FIG6_MESSAGE_KB = 1
 #: per-cell, lanes vs that kernel), so the gate is no looser.
 MIN_FIG10_LANES_SPEEDUP = 2.25
 
-#: soft ceiling on the checked-mode slowdown (checked cell / plain
-#: cell).  Measured 3.1-3.3x across PRs 5-8 with min-of-5 sampling; a
+#: soft ceiling on the checked-mode slowdown (checked cell / the same
+#: cell on the unchecked object model).  Measured 3.1-3.3x across PRs 5-8 with min-of-5 sampling; a
 #: reading above this means checked mode itself regressed, not noise.
 #: (The 4.72x once committed for PR 6 was a min-of-2 artifact on a
 #: shared core — the underlying ratio had not moved.)
@@ -175,9 +177,13 @@ def _fig6_key(points):
             for p in points]
 
 
-def _per_cell():
-    """Lane width 0: no batches, every cell through ``run_cell``."""
-    return mock.patch.dict(os.environ, {"REPRO_LANES": "0"})
+@contextlib.contextmanager
+def _object_model():
+    """Lane width 0 and no cell lowered (``repro.cpu.batch._lower`` is
+    the one place that decides): every cell runs ``TimingModel.run``."""
+    with mock.patch.dict(os.environ, {"REPRO_LANES": "0"}), \
+            mock.patch("repro.cpu.batch._lower", lambda spec: None):
+        yield
 
 
 def _synth_fig10():
@@ -211,22 +217,21 @@ def run():
 
     # Cold sweeps: result cache bypassed so every cell simulates.  The
     # default path batches compatible cells and advances them as lanes
-    # of the lane kernel; the per-cell path is timed with
-    # ``REPRO_LANES=0``.
+    # of the lane kernel; the per-cell side is the object model.
     def fig10_sweep():
         return figure10(n_refs=20_000, seed=5, jobs=1)
 
     with RESULT_CACHE.disabled():
         cold_s, sequential = _min_timed_sweep(fig10_sweep)
         batch_stats = last_run_stats()
-        with _per_cell():
+        with _object_model():
             percell_s, percell_points = _min_timed_sweep(fig10_sweep)
 
         jobs = resolve_jobs(None)
         parallel = figure10(n_refs=20_000, seed=5, jobs=jobs)
         pool_stats = last_run_stats()
     # Figure 6: per-geometry crypto batches on the lane kernel vs the
-    # per-cell path (``REPRO_LANES=0``: TimingModel.run per cell).
+    # object model (TimingModel.run per cell).
     cached_cbc_trace(message_kb=FIG6_MESSAGE_KB, seed=5)
 
     def fig6_sweep():
@@ -235,7 +240,7 @@ def run():
     with RESULT_CACHE.disabled():
         fig6_lanes_s, fig6_lane_points = _min_timed_sweep(fig6_sweep)
         fig6_stats = last_run_stats()
-        with _per_cell():
+        with _object_model():
             fig6_percell_s, fig6_percell_points = _min_timed_sweep(fig6_sweep)
     fig6_match = _fig6_key(fig6_lane_points) == _fig6_key(fig6_percell_points)
 
@@ -281,9 +286,9 @@ def run():
 
     # Checked-mode accounting, after every gated timing above so the
     # slow differential runs cannot perturb them.  Off-mode overhead is
-    # exactly one ``active_checker()`` lookup per ``TimingModel.run``
-    # dispatch, so measure that lookup directly and scale it by a
-    # generous per-cell dispatch allowance — a differential
+    # one ``active_checker()`` lookup per ``TimingModel.run`` dispatch
+    # or cell lowering, so measure that lookup directly and scale it by
+    # a generous per-cell dispatch allowance — a differential
     # cell-vs-cell timing would drown the nanoseconds in scheduler
     # noise.
     lookups = 50_000
@@ -298,8 +303,12 @@ def run():
 
     # The on-mode ratio is gated against a soft ceiling, so sample it
     # with the same min-of-5 discipline as ``single_s`` — a min-of-2
-    # here once recorded a phantom 4.72x drift on a shared core.
+    # here once recorded a phantom 4.72x drift on a shared core.  A
+    # checked cell runs the object model, so that is its denominator:
+    # the same cell unchecked, with lowering declined.
     unchecked_result = run_cell(spec)
+    with _object_model():
+        object_model_s = min(_timed(lambda: run_cell(spec)) for _ in range(5))
     os.environ[check_mod.ENV_VAR] = "1"
     try:
         checked_result = run_cell(spec)
@@ -308,9 +317,10 @@ def run():
         del os.environ[check_mod.ENV_VAR]
     checked_matches = checked_result == unchecked_result
 
-    # Checked mode must bypass lane planning: a grid that lane-batches
-    # by default runs per-cell under REPRO_CHECK, with the oracle
-    # active and bit-identical results.
+    # Checked mode must bypass lane planning and the kernel: a grid
+    # that lane-batches by default runs every cell on the object model
+    # under REPRO_CHECK, with the oracle active and bit-identical
+    # results.
     os.environ[check_mod.ENV_VAR] = "1"
     try:
         with RESULT_CACHE.disabled():
@@ -334,8 +344,9 @@ def run():
         "single_cell_base_s": BASE_SINGLE_CELL_S,
         "single_cell_speedup_vs_seed": round(SEED_SINGLE_CELL_S / single_s, 2),
         "single_cell_speedup_vs_base": round(BASE_SINGLE_CELL_S / single_s, 2),
+        "single_cell_object_model_s": round(object_model_s, 4),
         "single_cell_checked_s": round(checked_s, 4),
-        "check_overhead_on_x": round(checked_s / single_s, 2),
+        "check_overhead_on_x": round(checked_s / object_model_s, 2),
         "check_overhead_ceiling_x": MAX_CHECK_OVERHEAD_X,
         "check_hook_off_frac": round(hook_frac, 5),
         "checked_matches_unchecked": checked_matches,
@@ -406,7 +417,7 @@ def test_runner_speedups(benchmark):
 
     # Lane kernel: the default path batches each benchmark group (one
     # shared decode + warm replay) and advances every cell of it
-    # through the lane kernel, bit-identical to the per-cell path and
+    # through the lane kernel, bit-identical to the object model and
     # >= 2.25x faster on the cold Figure 10 sweep.
     assert payload["lanes_match_percell"]
     assert payload["fig10_lanes_speedup_vs_percell"] >= MIN_FIG10_LANES_SPEEDUP
@@ -416,7 +427,7 @@ def test_runner_speedups(benchmark):
 
     # Figure 6 on the lane kernel: every crypto cell lanes (PLcache
     # lock bits and the disable-cache bypass are kernel hooks), the
-    # results equal the per-cell path, and the grid is >= 3x faster.
+    # results equal the object model, and the grid is >= 3x faster.
     assert payload["fig6_lanes_match_percell"]
     assert payload["fig6_vectorized_cells"] == payload["fig6_cells"]
     assert payload["fig6_lanes_speedup_vs_percell"] >= 3.0
@@ -444,9 +455,9 @@ def test_runner_speedups(benchmark):
     # Checked simulation mode: with REPRO_CHECK unset the dispatch hook
     # must cost under 2% of a cell; with it set the differential oracle
     # must reproduce the unchecked result bit-for-bit, stay under the
-    # soft slowdown ceiling (it is a debugging mode, but a drift past
-    # the ceiling means checked mode itself regressed), and bypass lane
-    # planning entirely.
+    # soft slowdown ceiling over the unchecked object model (it is a
+    # debugging mode, but a drift past the ceiling means checked mode
+    # itself regressed), and bypass lane planning and the kernel.
     assert payload["check_hook_off_frac"] <= 0.02
     assert payload["checked_matches_unchecked"]
     assert payload["check_overhead_on_x"] <= MAX_CHECK_OVERHEAD_X

@@ -1,11 +1,13 @@
 """Checked simulation mode: invariant sanitizer + differential oracle.
 
-The fused columnar kernel in :mod:`repro.cpu.timing` and the MSHR /
-fill-queue fast paths in :mod:`repro.cache` are hand-specialized code —
-exactly the kind that can drift silently from the model they were
-specialized from.  This package is a sanitizer for them, in the
-ASan/TSan sense: an *opt-in* mode that revalidates the simulator
-against its own specification while it runs.
+The timing loop in :mod:`repro.cpu.timing` and the MSHR / fill-queue
+fast paths in :mod:`repro.cache` are hand-tuned code — exactly the
+kind that can drift silently from the model they were specialized
+from.  This package is a sanitizer for them, in the ASan/TSan sense:
+an *opt-in* mode that revalidates the simulator against its own
+specification while it runs.  A checked run always takes the object
+model: no cell lowers onto the lane kernel under a checker
+(:func:`repro.cpu.batch.lower_cell`).
 
 Two layers:
 
@@ -18,7 +20,7 @@ Two layers:
   optional chi-square uniformity self-test over each window.
 * **Differential oracle** (:mod:`repro.check.reference` driven by
   :mod:`repro.check.oracle`) — a deliberately naive, dict-based
-  reference interpreter run in lockstep with the fused fast path,
+  reference interpreter run in lockstep with the object-model loop,
   diffing full cache state and stat counters every ``rate`` accesses.
 
 Any divergence raises a structured :exc:`CheckViolation` carrying the
@@ -31,7 +33,8 @@ processes inherit it).  ``REPRO_CHECK=0`` / unset means off; ``1``
 means the default sampling rate (one full validation every
 :data:`DEFAULT_RATE` accesses); any larger integer is used as the rate
 directly.  When off, the only cost on the simulation hot path is one
-module-attribute load per ``TimingModel.run`` call.
+module-attribute load per ``TimingModel.run`` call, and one plus an
+environment read per cell lowering.
 """
 
 from __future__ import annotations
@@ -300,10 +303,10 @@ def _apply_patches(checker: Checker) -> None:
     """Wrap the random-fill draw paths so every offset is validated.
 
     Class-level wraps (restored on uninstall): the engine's
-    ``random_offset`` covers the generic timing path, the functional
-    model's ``_draw_offset`` covers the leakage/attack models.  The
-    fused kind-2 kernel draws from the RNG buffer directly; its draws
-    are validated by the differential oracle instead.
+    ``random_offset`` covers every timing-model draw, power-of-two
+    windows included, and the functional model's ``_draw_offset``
+    covers the leakage/attack models.  Each draw then meets the
+    window-bounds check and feeds the chi-square test.
     """
     global _PATCH_STATE
     from repro.analysis.hit_probability import FunctionalRandomFillCache

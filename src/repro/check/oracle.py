@@ -1,11 +1,11 @@
 """Differential-oracle run driver for checked simulation mode.
 
 :func:`checked_run` replaces ``TimingModel.run`` while a checker is
-installed.  It runs the loop an unchecked run takes — the fused kernel
-or the object model, as ``TimingModel._plan`` chooses — in chunks of
-``checker.rate`` accesses, carrying the charge dict across chunk
-boundaries so the chunked execution is bit-identical to the monolithic
-one.  After every chunk, and again after the final settle, it:
+installed.  It runs the loop an unchecked run takes — the object model,
+``TimingModel._run_object_model`` — in chunks of ``checker.rate``
+accesses, carrying the charge dict across chunk boundaries so the
+chunked execution is bit-identical to the monolithic one.  After every
+chunk, and again after the final settle, it:
 
 * advances the naive :class:`~repro.check.reference.ReferenceModel`
   over the same accesses and diffs the full machine state (cycle
@@ -17,9 +17,8 @@ one.  After every chunk, and again after the final settle, it:
   (:meth:`~repro.check.Checker.validate_l1`).
 
 Configurations the reference does not interpret (Newcache, PLcache,
-locked contexts, prefetchers, other policies) run on the object-model
-loop exactly as unchecked and get the invariant sweep without the
-state diff.
+locked contexts, prefetchers, other policies) run chunked exactly the
+same way and get the invariant sweep without the state diff.
 
 The returned :class:`~repro.cpu.timing.SimResult` is bit-identical to
 an unchecked run of the same trace, so checked and unchecked results
@@ -72,7 +71,7 @@ def _diff_sets(kind: str, real_store, ref_sets, index: int) -> None:
 
 def _diff_state(model, ref: ReferenceModel, now: int, base: dict,
                 index: int) -> None:
-    """Raise on the first component where fast path and reference differ."""
+    """Raise on the first component where simulator and reference differ."""
     l1 = model.l1
     l2 = l1.next_level
     if now != ref.now:
@@ -126,18 +125,17 @@ def checked_run(model, trace, ctx, start_cycle: int, checker: Checker):
     l1 = model.l1
     base = _snapshot(l1, l1.next_level)
     counters = stat_snapshot(l1)
-    loop, lines, steps, writes = model._plan(trace, ctx)
+    lines, steps, writes = model._columns(trace)
     ref = ReferenceModel.capture(model, ctx)
     if ref is not None:
         ref.now = start_cycle
-        ref.checker = checker
     now = start_cycle
     charged: dict = {}
     total = len(lines)
     for lo in range(0, total, checker.rate):
         hi = min(lo + checker.rate, total)
         chunk = lines[lo:hi], steps[lo:hi], writes[lo:hi]
-        now, charged = loop(*chunk, ctx, now, charged)
+        now, charged = model._run_object_model(*chunk, ctx, now, charged)
         if ref is not None:
             ref.run_chunk(*chunk)
         _validate(model, ref, now, base, checker, index=hi)

@@ -44,8 +44,8 @@ def _clone_rng(rng):
 class ReferenceModel:
     """Dict-based shadow machine advanced in lockstep with the real one."""
 
-    #: Policy kinds (mirrors the fused kernel's specialization, but
-    #: derived from the *window spec*, not from ``engine._params``).
+    #: Policy kinds (the lane kernel's split, but derived from the
+    #: *window spec*, not from ``engine._params``).
     DEMAND = 0
     RF_POW2 = 1
     RF_GENERIC = 2
@@ -57,8 +57,7 @@ class ReferenceModel:
         Returns None unless the reference interprets the
         configuration: stock LRU set-associative L1 and L2, stock DRAM,
         a demand-fetch or random-fill policy, a hardware RNG, no locked
-        lines and a context that neither locks nor unlocks.  Every
-        configuration it accepts is one the fused kernel runs.
+        lines and a context that neither locks nor unlocks.
         """
         from repro.cache.controller import DemandFetchPolicy
         from repro.cache.l2 import L2Cache
@@ -130,7 +129,6 @@ class ReferenceModel:
         # -- fill policy (from the window spec) ------------------------------
         ref.window_a = ref.window_b = 0
         ref.rng = None
-        ref.checker = None
         if type(policy) is DemandFetchPolicy:
             ref.kind = cls.DEMAND
         else:
@@ -166,17 +164,8 @@ class ReferenceModel:
 
     def _draw_offset(self) -> int:
         if self.kind == self.RF_POW2:
-            offset = (self.rng.draw() & self.win_mask) - self.window_a
-        else:
-            offset = self.rng.draw_below(self.win_size) - self.window_a
-        if self.checker is not None and self.kind == self.RF_POW2:
-            # The fused kernel draws straight from the RNG buffer,
-            # bypassing the engine wrapper the checker installs — so
-            # the reference feeds the uniformity histogram for it.
-            # Generic draws go through the wrapped engine and would be
-            # double-counted here.
-            self.checker.note_offset(offset, self.window_a, self.window_b)
-        return offset
+            return (self.rng.draw() & self.win_mask) - self.window_a
+        return self.rng.draw_below(self.win_size) - self.window_a
 
     def _dram_access(self, line: int, now: int) -> int:
         c = self.counters

@@ -1,13 +1,13 @@
-"""Shared-state lowering for batched cell execution.
+"""Lowering cells onto the lane kernel, alone or as a batch group.
 
 A Figure-10-style sweep runs many cells that differ only in window,
 seed knob, or scheme while replaying the *same* trace through the same
 cache geometry; a Figure 6 sweep runs four schemes per L1 geometry over
-one AES-CBC trace.  The per-cell path re-derives the decode columns and
-re-warms the L2 for every one of them; this module computes that shared
-work once per batch group and lowers each eligible cell onto the lane
-kernel (:func:`repro.cpu.lanes.run_lanes_general`), which advances the
-cells of a group as lanes of one call:
+one AES-CBC trace.  This module computes the shared work once per
+batch group and lowers each eligible cell onto the lane kernel
+(:func:`repro.cpu.lanes.run_lanes_general`), which advances the cells
+of a group as lanes of one call; a cell run on its own
+(:func:`run_lowered`) is a group of one:
 
 * :class:`GeneralGroupState` — the per-(trace, config, warm) inputs:
   decoded int64 line/step columns of the measured slice and of the
@@ -16,19 +16,22 @@ cells of a group as lanes of one call:
   ``"general"`` groups decode a workload trace (warm split optional);
   ``"crypto"`` groups decode the whole AES-CBC trace over an empty L2,
 * :func:`lower_cell` — build the cell's scheme exactly as its
-  per-cell runner does (crypto cells with the AES tables protected,
+  object-model runner does (crypto cells with the AES tables protected,
   then the scheme's ``prepare()``, e.g. the PLcache preload), check
   that it is a configuration the kernel transcribes, and snapshot any
   state the setup left (start cycle, L1 image with lock bits, L2
   image, DRAM rows/banks) plus the random-fill engine's own RNG, which
   the kernel draws from at each demand miss; lowering never advances
-  that RNG.  Ineligible cells lower to ``None`` and the caller falls
-  back to :func:`repro.runner.cells.run_cell`; so does every cell when
-  the compiled kernel is unavailable (no C compiler, or a library that
-  does not load) or the cell's MSHR file exceeds the kernel's bound,
+  that RNG.  Ineligible cells lower to ``None`` and run on the object
+  model (:class:`repro.cpu.timing.TimingModel`); so does every cell
+  when the compiled kernel is unavailable (no C compiler, or a library
+  that does not load), the cell's MSHR file exceeds the kernel's
+  bound, or a checker is installed or requested (``REPRO_CHECK``),
 * :func:`run_lane_cells` — a group of lowered cells through the lane
   kernel in one shared trace pass (the lanes must agree on
   :meth:`LoweredCell.shared_key`; a group of one is a width-1 call),
+* :func:`run_lowered` — one cell as a width-1 call, or ``None`` when
+  it does not lower (what :func:`repro.runner.cells.run_cell` runs),
 * :func:`lane_eligible` — the same check from the spec alone (no trace
   load), for plan displays.
 
@@ -36,12 +39,11 @@ The kernel covers the stock set-associative/LRU L1 with demand fetch
 or a power-of-two random-fill window, plus two policy hooks: PLcache
 lock bits (a lock-aware victim choice) and the disable-cache scheme's
 L1 bypass of the protected lines.  Results are bit-identical to the
-per-cell path: the kernel is an exact transcription of the fused
-kernel plus settle, its warm replay is the L2 warm-up of
-``run_general_workload``, the snapshot
-is the object model's own post-setup state, and every lane draws from
-its cell's RNG at the same point the fused kernel does, leaving it
-where the per-cell run would.
+object model: the kernel is an exact transcription of its loop plus
+settle, its warm replay is the L2 warm-up of ``run_general_workload``,
+the snapshot is the object model's own post-setup state, and every
+lane draws from its cell's RNG at the same point the object model's
+fill policy does, leaving it where the object-model run would.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def group_state_for(spec) -> GeneralGroupState:
     """Build the shared state for a batch group from one member spec.
 
     Crypto cells replay the whole AES-CBC trace from an empty L2 (the
-    per-cell path builds a fresh hierarchy and never warms it).
+    object-model path builds a fresh hierarchy and never warms it).
     """
     if spec.kind == "crypto":
         from repro.experiments.perf_crypto import cached_cbc_trace
@@ -210,12 +212,19 @@ def _lower(spec) -> Optional[LoweredCell]:
     """Structural eligibility check + parameter extraction.
 
     The one place that decides whether the lane kernel runs a cell:
-    ``None`` sends the cell down the per-cell path.
+    ``None`` sends the cell to the object model — a cell the kernel
+    does not transcribe, a host without the compiled kernel, and any
+    run under a checker (installed, or requested by ``REPRO_CHECK``),
+    which validates the object model.
     """
+    from repro import check
     from repro.runner.cells import LANE_KINDS, CellSpec
     from repro.schemes import get_scheme
 
     if not isinstance(spec, CellSpec) or spec.kind not in LANE_KINDS:
+        return None
+    if check.active_checker() is not None \
+            or check.check_rate_from_env() is not None:
         return None
     if not native_available():
         return None
@@ -333,10 +342,10 @@ def lower_cell(spec, config) -> Optional[LoweredCell]:
     ``build_scheme`` seed derivation and window, same ``prepare()``),
     then checked: a set-associative/LRU L1 (PLcache lock bits allowed)
     and L2 with a demand-fetch, disable-cache or power-of-two
-    random-fill policy qualify — the configurations the fused and
-    object-model paths run, minus the non-power-of-two windows that
-    draw via ``draw_below`` and MSHR files above the kernel's bound.
-    Nothing lowers when the compiled kernel is unavailable.
+    random-fill policy qualify — the stock configurations, minus the
+    non-power-of-two windows that draw via ``draw_below`` and MSHR
+    files above the kernel's bound.  Nothing lowers when the compiled
+    kernel is unavailable or under a checker.
     """
     if spec.config != config:
         return None
@@ -354,13 +363,24 @@ def lane_eligible(spec) -> bool:
     return _lower(spec) is not None
 
 
+def run_lowered(spec) -> Optional[SimResult]:
+    """Run one cell as a width-1 lane call over its own group state, or
+    return ``None`` when it does not lower (it then runs on the object
+    model).  Bit-identical to the cell's object-model run."""
+    lowered = _lower(spec)
+    if lowered is None:
+        return None
+    (result,) = run_lane_cells(group_state_for(spec), [lowered])
+    return result
+
+
 def run_lane_cells(group: GeneralGroupState,
                    lowered: Sequence[LoweredCell]) -> List[SimResult]:
     """Run a group of lowered cells as lanes of one shared trace pass.
 
     Every member must report the same :meth:`LoweredCell.shared_key`
     (the runner groups by it before calling).  Returns one result per
-    cell, in order, bit-identical to each cell's per-cell run.
+    cell, in order, bit-identical to each cell's object-model run.
     """
     if not lowered:
         return []

@@ -4,9 +4,10 @@ The batched path amortizes trace decode and the warm-L2 replay across a
 group; this module then runs every lowered cell of the group as an
 independent *lane* over the shared columns in a single kernel call,
 which replays the warm-up into the group's L2 before the lanes start.  It
-is the only kernel lowered cells run on: a cell alone in its chunk is a
-width-1 call, and cells that do not lower run per cell through the
-object model (:func:`repro.runner.cells.run_cell`).
+is the only kernel lowered cells run on: a cell alone in its chunk, or
+run on its own by :func:`repro.runner.cells.run_cell`, is a width-1
+call, and cells that do not lower run on the object model
+(:class:`repro.cpu.timing.TimingModel`).
 
 There is one cache loop; scheme differences are small per-lane hooks
 and carried-in state (:class:`LaneCell`), in the spirit of a
@@ -35,15 +36,15 @@ state back only after a successful call, so the RNG ends exactly where
 scalar ``draw()`` calls would leave it.  The per-record state machine
 itself runs in a small C kernel (``lanes_kernel.c``), compiled once
 with the host toolchain and loaded through :mod:`ctypes`; results are
-**bit-identical** to the per-cell path (the fused timing kernel plus
-settle, and for lanes with carried-in state or hooks, the object model
-the hooks transcribe) because the C code is a branch-for-branch
-transcription (drain order, fill-queue drop/merge rules, MSHR-full
-stall, MLP charges and the settle loop) and every quantity fits int64
-with all divisions on non-negative operands.
+**bit-identical** to the object model (``TimingModel.run`` plus
+settle) because the C code is a branch-for-branch transcription of
+``L1Controller.access_line`` and the object-model loop (drain order,
+fill-queue drop/merge rules, MSHR-full stall, MLP charges and the
+settle loop) and every quantity fits int64 with all divisions on
+non-negative operands.
 
-The MLP charges ride on the MSHR entries rather than in the fused
-kernel's ``charged`` dict: a demand miss puts its entry charged with
+The MLP charges ride on the MSHR entries rather than in the object
+model's ``charged`` dict: a demand miss puts its entry charged with
 its own completion, a random fill one charged -1, and a merge pays
 unless its entry's charge equals its completion.  The dict is only
 read on a merge, for a line in the MSHR, and every entry left after a
@@ -72,10 +73,10 @@ flags (:func:`artifact_path`) and must export the ABI stamp
 load or lacks the stamp is never called, and a host without a C
 compiler has none: :func:`native_available` then reports ``False``,
 lowering (:mod:`repro.cpu.batch`) declines every cell, and those cells
-run per cell through :func:`~repro.runner.cells.run_cell` inside their
-batch.  The runner reports why once, as a ``lanes_fallback`` telemetry
-event (:func:`take_native_fallback`).  A missing compiler or a bad
-artifact can change how long a run takes, never its results.
+run on the object model, in their batch or alone.  The runner reports
+why once, as a ``lanes_fallback`` telemetry event
+(:func:`take_native_fallback`).  A missing compiler or a bad artifact
+can change how long a run takes, never its results.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -113,6 +115,8 @@ _RNG_INDEX, _RNG_COUNT, _RNG_HEADER = _MT_WORDS, _MT_WORDS + 3, _MT_WORDS + 4
 
 _native_fn = None
 _native_tried = False
+#: cells the kernel has run, per thread (:func:`cells_run`)
+_ran = threading.local()
 #: why the compiled kernel is unavailable in this process, until the
 #: runner reports it once (:func:`take_native_fallback`)
 _native_error: Optional[str] = None
@@ -286,6 +290,13 @@ def native_available() -> bool:
     return _native() is not None
 
 
+def cells_run() -> int:
+    """How many cells the kernel has run in this thread.  The runner
+    counts a cell as vectorized when this moves while the cell runs
+    (per thread, so a sweep in another thread cannot move it)."""
+    return getattr(_ran, "cells", 0)
+
+
 def _as_ptr(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
@@ -377,8 +388,8 @@ def run_lanes_general(lines, steps, instructions,
     lane without an L2 image starts from a copy of the result.
     ``cells`` holds one :class:`LaneCell` per lane: its policy split,
     carried-in state and hooks.  Returns one :class:`SimResult` per
-    lane, bit-identical to running the cell through the per-cell path
-    from the same starting state.
+    lane, bit-identical to running the cell on the object model from
+    the same starting state.
 
     Raises :class:`RuntimeError` when the compiled kernel is unavailable
     or refuses the call (an MSHR file above :data:`_NATIVE_MQ_LIMIT`);
@@ -412,6 +423,7 @@ def run_lanes_general(lines, steps, instructions,
     if rc != 0:
         # Nothing is handed back: every lane's RNG is where it started.
         raise RuntimeError(f"lane kernel refused the call (code {rc})")
+    _ran.cells = cells_run() + n_lanes
     for l, cell in enumerate(cells):
         if cell.policy_kind == 2:
             _unpack_rng(cell.rng, state[info[l * _LANE_INFO + 2]:])

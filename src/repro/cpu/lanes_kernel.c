@@ -1,8 +1,10 @@
 /* Lane-parallel group kernel: the per-record state machine of
- * repro/cpu/timing.py:TimingModel._run_columnar_fused plus the
- * controller's end-of-run settle, transcribed to C and run once per
- * lane over the shared decoded trace columns.  Every lowered cell runs
- * here, a cell alone in its chunk as a one-lane call.
+ * repro/cache/controller.py:L1Controller.access_line plus the
+ * object-model loop around it (repro/cpu/timing.py:
+ * TimingModel._run_object_model) and the controller's end-of-run
+ * settle, transcribed to C and run once per lane over the shared
+ * decoded trace columns.  Every lowered cell runs here, a cell alone
+ * in its chunk (or run on its own) as a one-lane call.
  *
  * Each lane may carry state in (a start cycle, L1/L2 images with
  * per-way lock bits, DRAM open-row/bank-free state) and two policy
@@ -21,13 +23,13 @@
  * The transcription is branch-for-branch: the MissQueue drain order
  * (stable completion sort on insertion order), the fill-queue
  * drop/merge rules, the MSHR-full stall, the MLP charges and the
- * end-of-run settle loop all mirror the fused Python kernel exactly,
- * so results are bit-identical per lane.  Every quantity fits int64
+ * end-of-run settle loop all mirror the object model exactly, so
+ * results are bit-identical per lane.  Every quantity fits int64
  * (lines < 2^32, cycles grow by at most a few hundred per record) and
  * every division runs on non-negative operands, so C arithmetic
  * matches Python's exactly.
  *
- * The fused kernel keeps its MLP charges in a dict (line -> completion
+ * The object model keeps its MLP charges in a dict (line -> completion
  * already paid for) but only reads it on a merge, for a line in the
  * MSHR.  Here the charge rides on the MSHR entry instead: a demand miss
  * puts its entry charged with its own completion, a random fill puts
@@ -44,7 +46,7 @@
  * Compiled on demand by repro/cpu/lanes.py with the host toolchain and
  * loaded via ctypes.  There is no second lane kernel: when no compiler
  * is available (or the library does not load), lowering declines every
- * cell and those cells run per cell (repro/runner/cells.py:run_cell).
+ * cell and those cells run on the object model.
  */
 
 #include <stdint.h>

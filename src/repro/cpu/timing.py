@@ -29,10 +29,7 @@ from typing import Iterable, Optional, Tuple
 
 from repro import check as _check
 from repro.cache.context import AccessContext, DEFAULT_CONTEXT
-from repro.cache.controller import DemandFetchPolicy, L1Controller
-from repro.cache.mshr import RequestType
-from repro.cache.set_associative import SetAssociativeCache
-from repro.core.policy import RandomFillPolicy
+from repro.cache.controller import L1Controller
 from repro.cpu.trace import Trace, TraceRecord
 
 
@@ -156,10 +153,11 @@ class TimingModel:
         Any iterable of ``(addr, gap, write)`` records is converted to a
         columnar :class:`~repro.cpu.trace.Trace` here, once (a ``Trace``
         passes through).  The trace is then decoded for the L1 geometry
-        and driven through one loop (:meth:`_plan`): the fused kernel
-        for the stock set-associative/LRU configuration, else the
-        object model, which dispatches every access through the L1
-        controller.
+        (:meth:`_columns`) and driven through the object-model loop,
+        which dispatches every access through the L1 controller, so
+        every tag store, fill policy and context hook takes part.  The
+        lane kernel (:mod:`repro.cpu.lanes`) transcribes this loop for
+        the configurations it lowers.
 
         With a checker installed (``REPRO_CHECK``, see
         :mod:`repro.check`) the run is delegated to the checked driver,
@@ -176,56 +174,34 @@ class TimingModel:
             return checked_run(self, trace, ctx, start_cycle, checker)
         l1 = self.l1
         base = stat_snapshot(l1)
-        loop, lines, steps, writes = self._plan(trace, ctx)
-        now, _charged = loop(lines, steps, writes, ctx, start_cycle, {})
+        now, _charged = self._run_object_model(*self._columns(trace), ctx,
+                                               start_cycle, {})
         l1.settle()
         return result_since(l1, base, trace.instruction_count,
                             now - start_cycle)
 
-    def _plan(self, trace: Trace, ctx: AccessContext):
-        """Decode ``trace`` once and pick the loop that runs it.
-
-        Returns ``(loop, lines, steps, writes)``: the fused kernel when
-        :meth:`_fast_path_eligible` holds, else the object-model loop,
-        plus the per-record line addresses, issue-cycle steps and write
-        flags as plain lists.  Either loop is called as ``loop(lines,
-        steps, writes, ctx, now, charged)`` and returns the cycle after
-        its last record together with the charge dict (a prune replaces
-        it), so consecutive slices of one trace run bit-identically to
-        a single call — checked mode relies on this.  Settling the
-        controller at the end of the run is the caller's job.
-        """
+    def _columns(self, trace: Trace):
+        """Decode ``trace`` once for the L1 geometry: the per-record line
+        addresses, issue-cycle steps and write flags as plain lists, the
+        first three arguments of :meth:`_run_object_model`."""
         decode = trace.decoded(self.l1._line_shift)
-        loop = (self._run_columnar_fused if self._fast_path_eligible(ctx)
-                else self._run_object_model)
-        return (loop, decode.lines_list(), decode.issue_steps(self.issue_width),
+        return (decode.lines_list(), decode.issue_steps(self.issue_width),
                 decode.writes_list())
-
-    def _fast_path_eligible(self, ctx: AccessContext) -> bool:
-        """True when the fused kernel may replace per-access dispatch.
-
-        The kernel inlines exactly the stock configuration: a plain
-        set-associative tag store (no subclass) with LRU hits, a policy
-        with no ``bypass``/``on_hit`` overrides, and a context without
-        lock/unlock side effects.  This covers the baseline and every
-        random-fill window; PLcache, Newcache, the prefetcher and the
-        disable-cache scheme run on the object-model loop.
-        """
-        l1 = self.l1
-        return (type(l1.tag_store) is SetAssociativeCache
-                and l1.tag_store._lru_hits
-                and not l1._policy_bypasses
-                and l1._policy_on_hit is None
-                and not ctx.lock and not ctx.unlock)
 
     def _run_object_model(self, lines_l, steps_l, writes_l,
                           ctx: AccessContext, now: int,
                           charged: dict) -> Tuple[int, dict]:
         """Object-model loop: every access goes through
         :meth:`L1Controller.access_line`, so any tag store, fill policy
-        or context hook takes part (PLcache, Newcache, prefetchers, the
-        disable-cache bypass and every other scheme the fused kernel
-        does not inline)."""
+        or context hook takes part, including an instance override of
+        a controller method (the fill-path ablation's).
+
+        Returns the cycle after the last record together with the
+        charge dict (a prune replaces it), so consecutive slices of one
+        trace run bit-identically to a single call — checked mode
+        relies on this.  Settling the controller at the end of the run
+        is the caller's job.
+        """
         l1 = self.l1
         hit_cost = l1.hit_latency
         # Everything the loop touches per record is hoisted into locals,
@@ -268,250 +244,4 @@ class TimingModel:
                     now += (remaining + mlp - 1) // mlp
             if len(charged) >= prune_at:
                 charged = prune_charged(charged, now)
-        return now, charged
-
-    def _run_columnar_fused(self, lines_l, steps_l, writes_l,
-                            ctx: AccessContext, now: int,
-                            charged: dict) -> Tuple[int, dict]:
-        """Fused kernel: controller access inlined into the timing loop.
-
-        Replicates ``L1Controller.access_line`` + the MLP charging
-        arithmetic for the stock set-associative/LRU configuration (see
-        ``_fast_path_eligible``) with no per-access call or
-        ``AccessResult`` allocation.  Local mirrors of the miss queue's
-        ``next_completion`` (``nc``) and the controller's
-        ``_fills_blocked`` flag are refreshed after every operation
-        that can move them (drain / fill issue / allocate), so the
-        controller object stays consistent for the settle phase and for
-        any later accesses.
-
-        Two deliberate divergences from the object model's bookkeeping,
-        both
-        result-invisible: ``stats.accesses``/``stats.hits`` are added
-        in one batch at the end (nothing reads them mid-run), and the
-        ``charged`` prune check is skipped on hit records (hits never
-        grow ``charged``, and pruning only ever removes entries whose
-        completion has passed, which cannot change timing — see
-        ``CHARGED_PRUNE_THRESHOLD``).
-        """
-        l1 = self.l1
-        hit_cost = l1.hit_latency
-        mlp = self.mlp
-        credit = self.overlap_credit
-        prune_at = CHARGED_PRUNE_THRESHOLD
-
-        tag_store = l1.tag_store
-        sets = tag_store._sets
-        set_mask = tag_store._set_mask
-        tag_access = l1._tag_access
-        miss_queue = l1.miss_queue
-        mq_entries = miss_queue._entries
-        mq_get = mq_entries.get
-        mq_capacity = miss_queue.capacity
-        allocate = miss_queue.allocate
-        drain = miss_queue.drain
-        install = l1._install
-        issue_fills = l1._issue_random_fills
-        enqueue_fills = l1._enqueue_random_fills
-        policy_on_miss = l1._policy_on_miss
-        l2_access = l1._l2_access
-        fill_queue = l1.fill_queue
-        stats = l1.stats
-
-        # Specialize the demand-miss path by fill policy.  Kind 1 is a
-        # plain NORMAL miss with no extra fills (demand fetch, or random
-        # fill with the window registers at zero); kind 2 is the paper's
-        # mechanism with the Figure 4 masked draw and the single-request
-        # fill issue inlined (every RandomFillPolicy plan carries
-        # exactly one line); kind 0 is the generic enqueue-then-drain
-        # path for any other policy, and for non-power-of-two windows
-        # (which draw via ``draw_below``).  The kind-2 RNG draw moves
-        # after the demand L2 access (the L2/DRAM path never touches the
-        # fill engine's RNG, so the draw sequence per miss is
-        # unchanged).
-        NORMAL = RequestType.NORMAL
-        NOFILL = RequestType.NOFILL
-        RANDOM_FILL = RequestType.RANDOM_FILL
-        policy = l1._policy
-        policy_kind = 0
-        rf_buf = rf_refill = None
-        rf_mask = rf_a = 0
-        if type(policy) is DemandFetchPolicy:
-            policy_kind = 1
-        elif type(policy) is RandomFillPolicy:
-            engine = policy.engine
-            rf_window = engine.window_for(ctx.thread_id)
-            if rf_window.a == 0 and rf_window.b == 0:
-                policy_kind = 1
-            else:
-                rf_a, rf_mask, _ = engine._params[ctx.thread_id]
-                if rf_mask is not None:
-                    policy_kind = 2
-                    rng = engine._rng
-                    rf_buf = rng._buffer
-                    rf_refill = rng._refill
-        fill_cap = mq_capacity - l1.fill_reserve
-        demand_misses = 0
-        nlr = 0
-        rf_issued = 0
-        rf_dropped = 0
-
-        write_ctx = AccessContext(thread_id=ctx.thread_id, domain=ctx.domain,
-                                  critical=ctx.critical, is_write=True)
-        charged_get = charged.get
-        hits_local = 0
-        nc = miss_queue.next_completion
-        fills_blocked = l1._fills_blocked
-        for line, step, write in zip(lines_l, steps_l, writes_l):
-            now += step
-            if now >= nc:
-                drain(now, install)
-                l1._fills_blocked = fills_blocked = False
-                nc = miss_queue.next_completion
-            # Inlined SetAssociativeCache.access, LRU fast path.
-            cache_set = sets[line & set_mask]
-            index = 0
-            hit = False
-            for line_state in cache_set:
-                if line_state.line_addr == line:
-                    hit = True
-                    break
-                index += 1
-            if hit:
-                hits_local += 1
-                if index:
-                    cache_set.insert(0, cache_set.pop(index))
-                if fill_queue and not fills_blocked:
-                    issue_fills(now)
-                    fills_blocked = l1._fills_blocked
-                    nc = miss_queue.next_completion
-                now += hit_cost
-                continue
-            record_ctx = write_ctx if write else ctx
-            in_flight = mq_get(line)
-            if in_flight is None and fill_queue and not fills_blocked:
-                # Queued random fills are older than this demand miss,
-                # so they claim MSHRs first — and one of them may be
-                # for this very line, turning the miss into a merge.
-                issue_fills(now)
-                fills_blocked = l1._fills_blocked
-                nc = miss_queue.next_completion
-                in_flight = mq_get(line)
-            if in_flight is not None:
-                stats.mshr_merges += 1
-                completion = in_flight.complete_at
-                if completion < now:
-                    completion = now
-                if charged_get(line) == completion:
-                    now += hit_cost
-                else:
-                    charged[line] = completion
-                    now += hit_cost
-                    remaining = completion - now - credit
-                    if remaining > 0:
-                        now += (remaining + mlp - 1) // mlp
-                if len(charged) >= prune_at:
-                    charged = prune_charged(charged, now)
-                    charged_get = charged.get
-                continue
-            stall = 0
-            access_now = now
-            if len(mq_entries) >= mq_capacity:
-                stall = nc - now
-                if stall < 0:
-                    stall = 0
-                access_now = now + stall
-                drain(access_now, install)
-                l1._fills_blocked = fills_blocked = False
-                nc = miss_queue.next_completion
-                if tag_access(line, record_ctx):
-                    # The drained line was the one we wanted; the
-                    # timing loop charges only the hit (stall unused).
-                    hits_local += 1
-                    now += hit_cost
-                    continue
-            demand_misses += 1
-            nlr += 1
-            if policy_kind == 2:
-                complete_at = l2_access(line, access_now, record_ctx)
-                allocate(line, complete_at, NOFILL, record_ctx)
-                l1._fills_blocked = fills_blocked = False
-                nc = miss_queue.next_completion
-                if not rf_buf:
-                    rf_refill()
-                fill_line = line + (rf_buf.pop() & rf_mask) - rf_a
-                if fill_queue:
-                    # Parked requests are older; preserve FIFO order.
-                    enqueue_fills((fill_line,), record_ctx)
-                    issue_fills(access_now)
-                    fills_blocked = l1._fills_blocked
-                    nc = miss_queue.next_completion
-                elif fill_line < 0:
-                    # Window underflow below address zero.
-                    rf_dropped += 1
-                else:
-                    # Inlined single-request _issue_random_fills: the
-                    # probe / merge-upgrade / demand-reserve sequence
-                    # for exactly one queued request on an empty queue.
-                    resident = False
-                    for line_state in sets[fill_line & set_mask]:
-                        if line_state.line_addr == fill_line:
-                            resident = True
-                            break
-                    if resident:
-                        rf_dropped += 1
-                    else:
-                        in_flight = mq_get(fill_line)
-                        if in_flight is not None:
-                            if in_flight.request_type is NOFILL:
-                                in_flight.request_type = RANDOM_FILL
-                                rf_issued += 1
-                            else:
-                                rf_dropped += 1
-                        elif len(mq_entries) >= fill_cap:
-                            fill_queue.append((fill_line, record_ctx))
-                            l1._fills_blocked = fills_blocked = True
-                        else:
-                            fill_at = l2_access(fill_line, access_now,
-                                                record_ctx)
-                            nlr += 1
-                            rf_issued += 1
-                            allocate(fill_line, fill_at, RANDOM_FILL,
-                                     record_ctx)
-                            nc = miss_queue.next_completion
-            elif policy_kind == 1:
-                complete_at = l2_access(line, access_now, record_ctx)
-                allocate(line, complete_at, NORMAL, record_ctx)
-                l1._fills_blocked = fills_blocked = False
-                nc = miss_queue.next_completion
-                if fill_queue:
-                    issue_fills(access_now)
-                    fills_blocked = l1._fills_blocked
-                    nc = miss_queue.next_completion
-            else:
-                plan = policy_on_miss(line, record_ctx)
-                complete_at = l2_access(line, access_now, record_ctx)
-                allocate(line, complete_at, plan.demand_type, record_ctx)
-                l1._fills_blocked = fills_blocked = False
-                nc = miss_queue.next_completion
-                if plan.random_fill_lines:
-                    enqueue_fills(plan.random_fill_lines, record_ctx)
-                if fill_queue:
-                    issue_fills(access_now)
-                    fills_blocked = l1._fills_blocked
-                    nc = miss_queue.next_completion
-            charged[line] = complete_at
-            now += hit_cost + stall
-            remaining = complete_at - now - credit
-            if remaining > 0:
-                now += (remaining + mlp - 1) // mlp
-            if len(charged) >= prune_at:
-                charged = prune_charged(charged, now)
-                charged_get = charged.get
-        stats.accesses += len(lines_l)
-        stats.hits += hits_local
-        stats.demand_misses += demand_misses
-        stats.next_level_requests += nlr
-        stats.random_fill_issued += rf_issued
-        stats.random_fill_dropped += rf_dropped
         return now, charged

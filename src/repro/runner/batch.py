@@ -13,18 +13,20 @@ still lands in the result cache one by one.
 
 Batching follows the lane width (``--lanes`` / ``REPRO_LANES``,
 :func:`resolve_lanes`): width 0 plans no batches, so every cell runs
-through :func:`run_cell`, and any width >= 1 batches.  Checked mode
-(``REPRO_CHECK``) disables planning entirely so every cell takes the
-per-cell oracle path.  Within a ``"general"`` or ``"crypto"`` batch,
-every cell that lowers onto the lane kernel (:mod:`repro.cpu.lanes`)
-advances as a *lane* of one kernel call, chunked at the lane width; a
-chunk of one is a width-1 call, and cells that do not lower run
-through :func:`run_cell` inside the batch.  The planner keeps a lane
-kind's leftover chunk of one cell as a one-cell batch, so that cell too
-runs as a width-1 lane call; other kinds run a leftover singleton as a
-plain cell.  Results are bit-identical for any jobs count or lane
-width, 0 included, because the lane kernel is exact and chunk
-boundaries carry no state between cells.
+through :func:`run_cell` (a lowerable cell as a width-1 kernel call of
+its own), and any width >= 1 batches.  Checked mode (``REPRO_CHECK``)
+disables planning entirely, and no cell lowers under it, so every cell
+runs on the object model under the oracle.  Within a ``"general"`` or
+``"crypto"`` batch, every cell that lowers onto the lane kernel
+(:mod:`repro.cpu.lanes`) advances as a *lane* of one kernel call,
+chunked at the lane width; a chunk of one is a width-1 call, and cells
+that do not lower run on the object model through :func:`run_cell`
+inside the batch.  The planner keeps a lane kind's leftover chunk of
+one cell as a one-cell batch, so that cell too runs as a width-1 lane
+call; other kinds run a leftover singleton as a plain cell.  Results
+are bit-identical for any jobs count or lane width, 0 included,
+because the lane kernel is exact and chunk boundaries carry no state
+between cells.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from repro.runner.telemetry import worker_meta
 #: smallest chunk worth batching for kinds that only amortize dispatch
 #: (a singleton is just a cell), and the smallest lane width that caps
 #: a lane-kind chunk.  A ``"general"``/``"crypto"`` chunk of one still
-#: forms a batch: its cell lowers onto a width-1 lane call, which beats
-#: the per-cell path's own decode, warm replay and fused kernel
+#: forms a batch: its cell lowers onto a width-1 lane call, and the
+#: batch reports it like any other lane chunk
 MIN_BATCH = 2
 
 #: largest batch submitted as one work item; bounds the blast radius of
@@ -196,25 +198,25 @@ def run_batch(batch: CellBatch, lanes: Optional[int] = None):
     cell on the lane kernel (:func:`repro.cpu.batch.run_lane_cells`),
     grouped by their shared kernel parameters and chunked at the lane
     width (:func:`resolve_lanes`); a chunk of one is a width-1 call.
-    Cells the kernel does not cover — and every cell at lane width 0,
-    or when ``REPRO_CHECK`` is active, as a belt-and-braces guard (the
-    parent already skips planning in both cases) — fall back to
-    :func:`run_cell` individually inside the batch; no cell lowers
-    when the compiled kernel is unavailable, and the reason rides once
-    per process as ``batch_meta["lanes_fallback"]``.  Any exception —
+    Cells that do not lower (:func:`repro.cpu.batch.lower_cell` decides:
+    a cell the kernel does not cover, every cell when the compiled
+    kernel is unavailable or ``REPRO_CHECK`` is set) run through
+    :func:`run_cell` individually inside the batch, on the object
+    model; when the kernel is unavailable, the reason rides once per
+    process as ``batch_meta["lanes_fallback"]``.  Any exception —
     a lane call the kernel refuses included — propagates whole: the
     supervisor splits the batch and retries the cells one by one.
 
     A lane call's wall time is attributed evenly across its member
     cells' ``worker_duration_s`` so per-cell latency stays meaningful.
     """
-    from repro.check import check_rate_from_env, check_totals
+    from repro.check import check_totals
 
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         lane_width = resolve_lanes(lanes)
-        laned = batch.kind in LANE_KINDS and lane_width and check_rate_from_env() is None
+        laned = batch.kind in LANE_KINDS and lane_width
         shared = None
         lowered = [None] * len(batch.cells)
         if laned:

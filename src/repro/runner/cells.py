@@ -111,16 +111,23 @@ def run_cell(spec):
     Any other spec must expose a zero-argument ``run()``, whose return
     value is the cell result (e.g. the leakage cells).
 
+    A ``general`` or ``crypto`` cell that lowers onto the lane kernel
+    (:func:`repro.cpu.batch.run_lowered`) runs as a width-1 kernel
+    call; every other timing cell — one the kernel does not transcribe,
+    every cell on a host without the compiled kernel, and every cell
+    under a checker — runs on the object model.  Both give the same
+    bits.
+
     Cyclic garbage collection is paused for the duration of the cell:
     the simulators allocate millions of short-lived acyclic objects per
     cell, so generation-0 scans cost ~10% of wall clock and can never
     free anything the refcounts don't.  Results are unaffected.
 
     When ``REPRO_CHECK`` requests checked mode
-    (:mod:`repro.check`), the whole cell runs under an installed
-    checker — including the chi-square finalize pass — and any
-    :exc:`~repro.check.CheckViolation` is re-raised carrying the cell
-    spec's repr so the failing point can be reproduced directly.
+    (:mod:`repro.check`), the whole cell runs on the object model under
+    an installed checker — including the chi-square finalize pass — and
+    any :exc:`~repro.check.CheckViolation` is re-raised carrying the
+    cell spec's repr so the failing point can be reproduced directly.
     """
     from repro.check import CheckViolation, checked_from_env
 
@@ -147,6 +154,11 @@ def _dispatch_cell(spec):
             )
         return run()
     kind = spec.kind
+    if kind in LANE_KINDS:
+        from repro.cpu.batch import run_lowered
+        result = run_lowered(spec)
+        if result is not None:
+            return result
     if kind == "general":
         from repro.experiments.perf_general import run_general_workload
         from repro.workloads.cache import cached_workload

@@ -27,8 +27,9 @@ planned into **batches** (:mod:`repro.runner.batch`) — groups that
 share one trace decode and warm L2 replay, run their lowered cells on
 the lane kernel, and are dispatched to a worker as one unit.  A failed,
 hung, or crashed batch is split and its cells retried individually;
-``--lanes 0`` / ``REPRO_LANES=0`` disables planning, and
-``REPRO_CHECK`` always forces the per-cell path.  Batched results are
+``--lanes 0`` / ``REPRO_LANES=0`` disables planning (a lowerable cell
+then runs as a width-1 kernel call of its own), and ``REPRO_CHECK``
+skips it and runs every cell on the object model.  Batched results are
 bit-identical to per-cell results.
 
 The pool mode is supervised rather than a bare ``Executor.map``:
@@ -70,6 +71,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.check import CheckViolation, check_rate_from_env, check_totals
+from repro.cpu.lanes import cells_run
 from repro.runner.batch import BatchItem, plan_batches, run_batch
 from repro.runner.cells import run_cell
 from repro.runner.result_cache import RESULT_CACHE, ResultCache
@@ -150,14 +152,20 @@ def resolve_cell_retries(retries: Optional[int] = None) -> int:
 
 
 def _run_cell_task(spec):
-    """Worker entry point: the cell result plus execution metadata."""
+    """Worker entry point: the cell result plus execution metadata.
+
+    A cell that ``run_cell`` ran on the lane kernel carries
+    ``lane_width`` 1, like a laned member of a batch."""
     started = time.perf_counter()
     checks_before = check_totals()["checks_run"]
+    lanes_before = cells_run()
     result = run_cell(spec)
     meta = worker_meta(time.perf_counter() - started)
     checks_run = check_totals()["checks_run"] - checks_before
     if checks_run:
         meta["checks_run"] = checks_run
+    if cells_run() != lanes_before:
+        meta["lane_width"] = 1
     return result, meta
 
 
@@ -238,12 +246,17 @@ class _Supervisor:
         self.telemetry.progress(self.done, self.total, "cached")
 
     def on_result(self, index: int, result, meta: dict) -> None:
-        """Record one finished cell and checkpoint it immediately."""
+        """Record one finished cell and checkpoint it immediately.
+
+        A cell whose meta carries ``lane_width`` ran on the lane kernel
+        (in a batch or alone) and counts as vectorized."""
         self.results[index] = result
         if self.fingerprints[index] is not None:
             self.cache.store(self.fingerprints[index], result)
             self.stores += 1
         self.counters["checks_run"] += meta.get("checks_run", 0)
+        if "lane_width" in meta:
+            self.counters["vectorized_cells"] += 1
         self.latencies.append(meta.get("wall_s", 0.0))
         self.done += 1
         self.telemetry.emit("cell_finish", index=index, attempt=self.attempts.get(index, 0), **meta)
@@ -296,7 +309,6 @@ class _Supervisor:
             event["lane_width"] = batch_meta["lane_width"]
             event["vectorized_cells"] = batch_meta.get("vectorized_cells", 0)
             event["scalar_fallback_cells"] = batch_meta.get("scalar_fallback_cells", 0)
-            self.counters["vectorized_cells"] += event["vectorized_cells"]
             self.counters["scalar_fallback_cells"] += event["scalar_fallback_cells"]
             self.counters["lane_width"] = max(
                 self.counters["lane_width"], batch_meta["lane_width"]
@@ -540,7 +552,6 @@ def _run_supervised(sup: _Supervisor, pending: Sequence, jobs: int) -> int:
 def run_cells(
     specs: Sequence,
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
     result_cache: Optional[ResultCache] = None,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
@@ -559,14 +570,12 @@ def run_cells(
     unless the lane width (``REPRO_LANES``) is 0; results are
     bit-identical either way.  Planning happens *after* the per-cell
     result-cache check, so a fully cached grid never plans a batch or
-    touches a trace, and it is skipped entirely under ``REPRO_CHECK``
-    so checked runs take the per-cell oracle path.
+    touches a trace, and it is skipped entirely under ``REPRO_CHECK``,
+    under which every cell runs on the object model with the oracle.
 
     ``jobs`` follows :func:`resolve_jobs`; ``timeout`` and ``retries``
     follow :func:`resolve_cell_timeout` / :func:`resolve_cell_retries`
-    (``REPRO_CELL_TIMEOUT`` / ``REPRO_CELL_RETRIES``).  ``chunksize``
-    is accepted for backwards compatibility and ignored: supervision is
-    per-cell, and specs are small values whose pickle cost is noise.
+    (``REPRO_CELL_TIMEOUT`` / ``REPRO_CELL_RETRIES``).
 
     ``result_cache`` defaults to the process-wide
     :data:`~repro.runner.result_cache.RESULT_CACHE`; cells whose
@@ -588,7 +597,6 @@ def run_cells(
     sweep service's job thread vs. the main thread) pass a sink to get
     their own copy race-free.
     """
-    del chunksize  # legacy knob; supervision is per-cell
     jobs = resolve_jobs(jobs)
     timeout = resolve_cell_timeout(timeout)
     retries = resolve_cell_retries(retries)

@@ -16,7 +16,8 @@ vocabulary:
   carry ``batch_id``, ``batch_size`` and ``batch_amortized_decode``
   (whether the cell ran on the shared-decode lane kernel rather than
   through ``run_cell`` inside its batch); cells advanced by the lane
-  kernel also carry ``lane_width``, the width of their kernel call;
+  kernel, in a batch or alone, also carry ``lane_width``, the width of
+  their kernel call;
 * ``cell_retry``   — an attempt raised and the cell was requeued;
 * ``cell_timeout`` — an attempt exceeded ``REPRO_CELL_TIMEOUT``;
 * ``batch_start``  — a planned batch dispatched as one work item:

@@ -238,6 +238,7 @@ def run_normal(args) -> None:
         print("service smoke ok")
     finally:
         handle.stop()
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 # -- chaos mode ---------------------------------------------------------------
@@ -489,6 +490,7 @@ def run_chaos(args) -> None:
                         os.path.join(args.artifact_dir, os.path.basename(server.log_path)),
                     )
             print(f"  chaos artifacts: {args.artifact_dir}")
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def main(argv=None) -> None:

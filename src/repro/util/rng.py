@@ -80,10 +80,9 @@ class HardwareRng:
     def _refill(self) -> None:
         rand = self._rng.getrandbits
         width = self.width
-        # In-place extend: the buffer list's identity is stable, so hot
-        # loops (the fused timing kernel) may hold a direct reference to
-        # it across refills.  Only ever called when the buffer is empty,
-        # so the draw sequence is unchanged.
+        # In-place extend: the buffer list's identity is stable across
+        # refills.  Only ever called when the buffer is empty, so the
+        # draw sequence is unchanged.
         self._buffer += [rand(width) for _ in range(self._buffer_size)]
 
     def draw(self) -> int:

@@ -21,11 +21,11 @@ from repro.cpu.trace import Trace
 from repro.experiments.config import BASELINE_CONFIG
 from repro.experiments.schemes import build_scheme
 
-#: (scheme, window) grid covering the fused pow2 kernel, the generic
+#: (scheme, window) grid covering the masked pow2 draw, the generic
 #: non-pow2 draw, the disabled window and the non-SA/policy schemes.
 CONFIGS = (
     ("baseline", None),
-    ("random_fill", (4, 3)),       # pow2 window: fused kind-2 kernel
+    ("random_fill", (4, 3)),       # pow2 window: Figure 4 masked draw
     ("random_fill", (5, 3)),       # non-pow2: generic modulo draw
     ("random_fill", (16, 15)),
     ("newcache", None),            # invariant sweep only (no oracle)
@@ -72,7 +72,7 @@ class TestCleanEquivalence:
 
     def test_tuple_list_trace_checked(self):
         """A record list becomes a Trace as it enters ``run`` and is
-        checked like one: the fused kernel with the oracle in lockstep."""
+        checked like one: the object model with the oracle in lockstep."""
         records = _records(1500, seed=4)
         unchecked = _simulate("random_fill", (4, 3),
                               Trace.from_records(records), seed=3)
@@ -83,17 +83,35 @@ class TestCleanEquivalence:
 
 
 class TestMutationDetection:
-    """Seeded fast-path bugs must raise, not corrupt results silently."""
+    """Seeded simulator bugs must raise, not corrupt results silently."""
 
     def test_off_by_one_window_constant(self):
-        """Fused kernel draws with a+1: timing/state diverge from the
-        reference, which derives its constants from the window spec."""
+        """The engine draws with a+1: every power-of-two draw passes
+        the window-bounds check on the draw itself, which rejects the
+        first offset below -a."""
         trace = Trace.from_records(_records(3000, seed=11))
 
         def mutate(scheme):
             engine = scheme.os.engine
             a, mask, size = engine._params[0]
             engine._params[0] = (a + 1, mask, size)
+
+        with checked(rate=512):
+            with pytest.raises(CheckViolation) as excinfo:
+                _simulate("random_fill", (4, 3), trace, seed=5,
+                          mutate=mutate)
+        assert excinfo.value.kind == "window-bounds"
+
+    def test_narrowed_draw_mask(self):
+        """The engine masks draws with 3 instead of 7: every offset
+        stays inside the window, but timing/state diverge from the
+        reference, which derives its constants from the window spec."""
+        trace = Trace.from_records(_records(3000, seed=11))
+
+        def mutate(scheme):
+            engine = scheme.os.engine
+            a, mask, size = engine._params[0]
+            engine._params[0] = (a, mask >> 1, size)
 
         with checked(rate=512):
             with pytest.raises(CheckViolation) as excinfo:

@@ -1,26 +1,27 @@
-"""Property tests: the fused kernel matches the object-model loop, and a
+"""Property tests: the lane kernel matches the object-model loop, and a
 record list runs exactly like the ``Trace`` it converts to.
 
 ``TimingModel.run`` converts any record iterable to a columnar
-:class:`Trace` as it enters, decodes it once, and drives the fused
-kernel for the stock configuration or the object-model loop for every
-other one.  The first test forces the object-model loop onto the fused
-kernel's own configurations — demand fetch, random fill with a
-power-of-two window (the inlined Figure 4 draw) and with a
-non-power-of-two window (the generic enqueue path) — and requires the
-same result on hypothesis-random traces.  The other two pin that a
-record list and its ``Trace`` (whole, or the measured-half slice) give
-one run, for a policy-bearing scheme too.
+:class:`Trace` as it enters, decodes it once, and drives it through the
+object-model loop.  The first test runs the lane kernel's stock
+configurations — demand fetch and random fill with power-of-two
+windows (the Figure 4 masked draw) — as width-1 kernel calls over
+hypothesis-random traces and requires the object model's result.  The
+other two pin that a record list and its ``Trace`` (whole, or the
+measured-half slice) give one run, for a policy-bearing scheme too.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.context import DEFAULT_CONTEXT
+from repro.cpu.batch import GeneralGroupState, lower_cell, run_lane_cells
+from repro.cpu.lanes import native_available
 from repro.cpu.timing import TimingModel
 from repro.cpu.trace import Trace
 from repro.experiments.config import BASELINE_CONFIG
 from repro.experiments.schemes import build_scheme
+from repro.runner.cells import CellSpec
 
 # Addresses span more lines than L1 capacity so traces exercise misses,
 # merges and (for random fill) out-of-window fills; gaps > 1 exercise
@@ -31,11 +32,11 @@ RECORDS = st.lists(
               st.integers(min_value=0, max_value=1)),
     min_size=0, max_size=300)
 
-#: configurations the fused kernel runs, by the path they take in it
-FUSED_CONFIGS = (
-    ("baseline", None),
-    ("random_fill", (4, 3)),       # pow2 window: inlined masked draw
-    ("random_fill", (5, 3)),       # non-pow2: generic enqueue-then-drain
+#: stock configurations the lane kernel runs
+KERNEL_CONFIGS = (
+    ("baseline", (0, 0)),
+    ("random_fill", (4, 3)),
+    ("random_fill", (0, 7)),
 )
 
 
@@ -52,17 +53,23 @@ def simulate(scheme_name, trace, seed, window=(4, 3)):
     return timing_model(scheme_name, seed, window).run(trace)
 
 
+@pytest.mark.skipif(not native_available(),
+                    reason="no compiled lane kernel")
 @settings(max_examples=30, deadline=None)
 @given(records=RECORDS, seed=st.integers(min_value=0, max_value=2**31))
-def test_fused_kernel_matches_object_model(records, seed):
+def test_lane_kernel_matches_object_model(records, seed):
     trace = Trace.from_records(records)
-    for scheme_name, window in FUSED_CONFIGS:
-        fused_model = timing_model(scheme_name, seed, window)
-        assert fused_model._fast_path_eligible(DEFAULT_CONTEXT)
-        fused = fused_model.run(trace)
-        object_model = timing_model(scheme_name, seed, window)
-        object_model._fast_path_eligible = lambda ctx: False
-        assert object_model.run(trace) == fused, (scheme_name, window)
+    group = GeneralGroupState(trace, BASELINE_CONFIG, warm=False)
+    for scheme_name, window in KERNEL_CONFIGS:
+        # Lowering builds the scheme exactly as timing_model does.
+        spec = CellSpec(kind="general", scheme=scheme_name,
+                        benchmark="astar", window=window, seed=seed,
+                        warm=False)
+        lowered = lower_cell(spec, BASELINE_CONFIG)
+        assert lowered is not None
+        (laned,) = run_lane_cells(group, [lowered])
+        assert laned == simulate(scheme_name, trace, seed, window), \
+            (scheme_name, window)
 
 
 @settings(max_examples=30, deadline=None)

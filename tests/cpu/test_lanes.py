@@ -1,22 +1,23 @@
-"""Lane-kernel identity tests: lanes == the per-cell path, bit for bit.
+"""Lane-kernel identity tests: lanes == the object model, bit for bit.
 
 The lane kernel (:mod:`repro.cpu.lanes`) advances every lowered cell
 of a batch group over one shared decoded trace.  Its only permitted
-observable difference from running each cell on its own is speed, so
-every test here compares :func:`run_lane_cells` /
-:func:`run_lanes_general` against the per-cell path
-(:func:`run_cell`, or ``run_general_workload`` on a hand-built trace)
-across schemes, windows, warm state, seeds and lane counts.  Crypto
-cells (Figures 6 and 7) carry the PLcache preload's state and lock
-bits and the disable-cache bypass into their lanes.  The compiled
-kernel is the only lane backend, so these tests skip on a host that
-cannot build it; there every cell runs per cell, which
-``tests/runner/test_lanes.py`` pins.
+observable difference from the object model is speed, so every test
+here compares :func:`run_lane_cells` / :func:`run_lanes_general`
+against the object model (:func:`run_object_model`, which runs a cell
+with lowering declined, or ``run_general_workload`` on a hand-built
+trace) across schemes, windows, warm state, seeds and lane counts.
+``run_cell`` itself is no reference: it runs a lowerable cell on the
+kernel.  Crypto cells (Figures 6 and 7) carry the PLcache preload's
+state and lock bits and the disable-cache bypass into their lanes.
+The compiled kernel is the only lane backend, so these tests skip on a
+host that cannot build it; there every cell runs on the object model,
+which ``tests/runner/test_lanes.py`` pins.
 
 A random-fill lane draws from its cell's own RNG at each demand miss,
 so a run advances the lowered cell's RNG: every run below lowers its
-cells afresh, and :class:`TestInKernelDraws` pins the RNG state each
-kernel — and the per-cell path — leaves behind.
+cells afresh, and :class:`TestInKernelDraws` pins the RNG state the
+kernel — and the object model — leaves behind.
 """
 
 import copy
@@ -54,6 +55,7 @@ from repro.experiments.perf_general import run_general_workload
 from repro.runner.cells import CellSpec, run_cell
 from repro.util.rng import HardwareRng
 from repro.workloads.cache import cached_workload
+from tests.object_model import run_object_model
 
 #: pow2 windows the kernels cover, plus demand fetch; the (2, 2)
 #: window is non-power-of-two and must fail lowering (fallback path)
@@ -66,13 +68,13 @@ needs_kernel = pytest.mark.skipif(not native_available(),
 FIG6_GEOMETRIES = [(size * 1024, assoc) for size in (8, 16, 32)
                    for assoc in (1, 2, 4)]
 
-#: per-cell reference results, shared between tests
+#: object-model reference results, shared between tests
 _PER_CELL: dict = {}
 
 
 def _per_cell(spec):
     if spec not in _PER_CELL:
-        _PER_CELL[spec] = run_cell(spec)
+        _PER_CELL[spec] = run_object_model(spec)
     return _PER_CELL[spec]
 
 
@@ -128,7 +130,7 @@ class TestLaneIdentity:
     @pytest.mark.parametrize("n_lanes", [1, 2, 3, 7])
     def test_lane_count_never_changes_results(self, n_lanes):
         # The same cell lowered N times must produce N identical
-        # results, each equal to its per-cell run — lanes share
+        # results, each equal to its object-model run — lanes share
         # read-only columns but no mutable state.
         shared, lower, specs = _group("astar", ((4, 3),), warm=False,
                                       seed=1)
@@ -144,8 +146,8 @@ class TestLaneIdentity:
 
     def test_mixed_group_fallback_cells_stay_scalar(self):
         # A (2, 2) window is not a power of two: it must fail lowering
-        # (run_cell fallback inside the batch), while its pow2 siblings
-        # lane and agree with their per-cell runs.
+        # (the object model, inside the batch), while its pow2 siblings
+        # lane and agree with their object-model runs.
         windows = ((4, 3), (2, 2), (0, 7))
         specs = [CellSpec(kind="general", benchmark="astar",
                           scheme="random_fill", window=window,
@@ -162,7 +164,7 @@ class TestLaneIdentity:
 
 @needs_kernel
 class TestCryptoLaneIdentity:
-    """Figure 6/7 crypto lanes == per-cell ``run_cell``, bit for bit."""
+    """Figure 6/7 crypto lanes == the object model, bit for bit."""
 
     @pytest.mark.parametrize("size,assoc", FIG6_GEOMETRIES)
     def test_figure6_geometry_matches_per_cell(self, size, assoc):
@@ -213,9 +215,9 @@ def _advanced(rng, draws):
 
 def _every_kernel(spec, group, per_cell):
     """One cell through the lanes, then through ``per_cell`` (a
-    zero-argument call of the per-cell path) while recording the RNG
+    zero-argument call of the object model) while recording the RNG
     its scheme build makes: ``[(result, rng after, rng before)]``, the
-    per-cell run last."""
+    object-model run last."""
     lowered = lower_cell(spec, group.config)
     assert lowered is not None and lowered.policy_kind == 2
     start = copy.deepcopy(lowered.rng)
@@ -237,7 +239,7 @@ def _every_kernel(spec, group, per_cell):
 
 
 def _assert_draws_match(runs):
-    """Every run equals the per-cell one and left its RNG exactly
+    """Every run equals the object-model one and left its RNG exactly
     ``l1_demand_misses`` scalar draws further on."""
     reference = runs[-1][0]
     for result, rng, start in runs:
@@ -268,7 +270,7 @@ def _rng_factory(width, buffer_size, drawn):
 @needs_kernel
 class TestInKernelDraws:
     """A random-fill lane draws from its cell's own RNG at each demand
-    miss: the lanes and the per-cell path agree bit for bit, and each
+    miss: the lanes and the object model agree bit for bit, and each
     leaves the RNG where ``l1_demand_misses`` scalar ``draw()`` calls
     leave it."""
 
@@ -319,7 +321,7 @@ class TestInKernelDraws:
                         seed=seed, warm=warm)
         group = group_state_for(spec)
         _assert_draws_match(_every_kernel(spec, group,
-                                          lambda: run_cell(spec)))
+                                          lambda: run_object_model(spec)))
 
     @pytest.mark.parametrize("width,buffer_size,drawn", [
         (8, 256, 37),        # buffer non-empty at lowering
@@ -345,7 +347,7 @@ class TestInKernelDraws:
         assert len(lowered.rng.word_state()[2]) == \
             (buffer_size - drawn if drawn else 0)
         _assert_draws_match(_every_kernel(spec, group,
-                                          lambda: run_cell(spec)))
+                                          lambda: run_object_model(spec)))
 
     def test_wider_than_one_word_runs_per_cell(self, monkeypatch):
         monkeypatch.setattr("repro.schemes.builtin.HardwareRng",
@@ -481,8 +483,8 @@ def _charge_trace(x):
 
 @needs_kernel
 class TestMshrCharges:
-    """The kernel keeps each MLP charge on its MSHR entry; the per-cell
-    kernels keep a ``charged`` dict pruned at
+    """The kernel keeps each MLP charge on its MSHR entry; the object
+    model keeps a ``charged`` dict pruned at
     ``CHARGED_PRUNE_THRESHOLD`` entries.  Both charge alike."""
 
     @pytest.mark.parametrize("spec", [
@@ -497,8 +499,8 @@ class TestMshrCharges:
         ids=lambda spec: f"{spec.scheme}-{spec.benchmark or 'aes'}")
     def test_matches_per_cell_pruned_at_16(self, monkeypatch, spec):
         # No tier-1 trace reaches the 8,192-entry prune.  At 16 the
-        # per-cell dict is pruned every few misses, the kernel keeps no
-        # dict at all, and the results agree.
+        # object model's dict is pruned every few misses, the kernel
+        # keeps no dict at all, and the results agree.
         shared = group_state_for(spec)
         (laned,) = run_lane_cells(shared, [lower_cell(spec, shared.config)])
         prunes = []
@@ -506,7 +508,7 @@ class TestMshrCharges:
         monkeypatch.setattr(timing_mod, "CHARGED_PRUNE_THRESHOLD", 16)
         monkeypatch.setattr(timing_mod, "prune_charged",
                             lambda *args: prunes.append(1) or prune(*args))
-        assert laned == run_cell(spec)
+        assert laned == run_object_model(spec)
         assert prunes
 
     def test_a_line_back_in_the_mshr_pays_its_first_merge(self):
@@ -575,7 +577,7 @@ class TestGroupState:
 @needs_kernel
 class TestNativeArtifact:
     """A bad cached library is never called: no cell lowers, so every
-    cell takes the per-cell path, and the reason is reported once."""
+    cell takes the object model, and the reason is reported once."""
 
     def _poisoned_run(self, monkeypatch, tmp_path, write):
         specs = _crypto_specs(8 * 1024, 1, seed=2)
@@ -615,6 +617,55 @@ class TestNativeArtifact:
         _fresh_cache(monkeypatch, tmp_path)
         assert native_available()
         assert lanes_mod.take_native_fallback() is None
+
+
+@needs_kernel
+class TestRunCell:
+    """``run_cell`` runs a lowerable cell as one width-1 kernel call,
+    equal to the object model; under a checker it runs the object model
+    with the oracle instead."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        original = lanes_mod.run_lanes_general
+
+        def spy(*args, **kwargs):
+            calls.append(len(kwargs["cells"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("repro.cpu.batch.run_lanes_general", spy)
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        return calls
+
+    @pytest.mark.parametrize("spec", [
+        CellSpec(kind="general", benchmark="astar", scheme="random_fill",
+                 window=(4, 3), n_refs=1500, seed=3),
+        CellSpec(kind="general", benchmark="lbm", scheme="baseline",
+                 window=(0, 0), n_refs=1500, seed=1, warm=False),
+    ] + _crypto_specs(16 * 1024, 2, seed=4),
+        ids=lambda spec: f"{spec.scheme}-{spec.benchmark or 'aes'}")
+    def test_one_width_one_call(self, kernel_calls, spec):
+        result = run_cell(spec)
+        assert kernel_calls == [1]
+        assert result == run_object_model(spec)
+        assert kernel_calls == [1]
+
+    def test_checked_cell_runs_the_object_model(self, kernel_calls,
+                                                monkeypatch):
+        from repro.check import check_totals
+
+        spec = CellSpec(kind="general", benchmark="astar",
+                        scheme="random_fill", window=(4, 3), n_refs=1500,
+                        seed=3)
+        before = check_totals()["checks_run"]
+        monkeypatch.setenv("REPRO_CHECK", "256")
+        checked = run_cell(spec)
+        assert kernel_calls == []
+        assert check_totals()["checks_run"] > before
+        monkeypatch.delenv("REPRO_CHECK")
+        assert run_cell(spec) == checked
+        assert kernel_calls == [1]
 
 
 class TestLaneKnobs:

@@ -108,3 +108,34 @@ class TestChargedPrune:
         from repro.cpu.timing import prune_charged
         charged = {1: 10, 2: 50, 3: 30}
         assert prune_charged(charged, now=30) == {2: 50}
+
+
+class TestControllerOverrides:
+    """Every access goes through the controller object, so an instance
+    override of one of its methods takes part in ``TimingModel.run``
+    (the fill-path ablation turns the NOFILL upgrade off this way)."""
+
+    @staticmethod
+    def _fills(override):
+        from repro.experiments.config import BASELINE_CONFIG
+        from repro.experiments.schemes import build_scheme
+        from repro.workloads.spec import make_workload
+
+        scheme = build_scheme("random_fill", BASELINE_CONFIG, seed=3)
+        scheme.os.set_rr(0, 15)
+        l1 = scheme.l1
+        if override:
+            def drop_queued_fills(now):
+                l1.stats.random_fill_dropped += len(l1.fill_queue)
+                l1.fill_queue.clear()
+
+            l1._issue_random_fills = drop_queued_fills
+        trace = make_workload("libquantum", n_refs=4000, seed=1)
+        return TimingModel(l1, issue_width=BASELINE_CONFIG.issue_width,
+                           overlap_credit=BASELINE_CONFIG.overlap_credit
+                           ).run(trace).random_fill_issued
+
+    def test_instance_override_of_fill_issue_changes_fill_count(self):
+        stock = self._fills(override=False)
+        assert stock > 0
+        assert self._fills(override=True) == 0

@@ -25,10 +25,11 @@ from repro.runner.batch import (
     plan_batches,
     run_batch,
 )
-from repro.runner.cells import CellSpec, run_cell
+from repro.runner.cells import CellSpec
 from repro.runner.pool import last_run_stats, run_cells
 from repro.runner.result_cache import ResultCache
 from repro.runner.telemetry import read_events
+from tests.object_model import object_model_only, run_object_model
 
 
 class BatchSquareSpec:
@@ -317,12 +318,14 @@ class TestCacheShortCircuit:
 
 
 #: window shapes covering demand fetch, forward, bidirectional and the
-#: non-power-of-two fallback (W = 5 has no rf_mask -> per-cell path)
+#: non-power-of-two fallback (W = 5 has no rf_mask -> object model)
 WINDOWS = ((0, 0), (0, 7), (4, 3), (2, 2), (16, 15))
 
 
 class TestBitIdentity:
-    """Batched == per-cell, bit for bit, across schemes and windows."""
+    """Batched == the object model, bit for bit, across schemes and
+    windows (width 0 runs lowerable cells on the kernel too, one
+    width-1 call each)."""
 
     @settings(max_examples=8, deadline=None)
     @given(windows=st.lists(st.sampled_from(WINDOWS), min_size=2,
@@ -343,7 +346,8 @@ class TestBitIdentity:
                   for scheme in ("baseline", "tagged_prefetch")]
         batched = _run_at_width(specs, 64, jobs=1, result_cache=nocache)
         assert last_run_stats()["batches"] >= 1
-        percell = _run_at_width(specs, 0, jobs=1, result_cache=nocache)
+        with object_model_only():
+            percell = _run_at_width(specs, 0, jobs=1, result_cache=nocache)
         assert last_run_stats()["batches"] == 0
         assert batched == percell
 
@@ -363,7 +367,8 @@ class TestBitIdentity:
                 assert stats["batches"] >= 1
             else:
                 assert stats["batches"] == 0
-        assert all(run == runs[1, 0] for run in runs.values())
+        reference = [run_object_model(spec) for spec in specs]
+        assert all(run == reference for run in runs.values())
 
     def test_leakage_grid(self):
         from repro.leakage.sweep import LeakageCellSpec, window_pair
@@ -381,8 +386,8 @@ class TestBitIdentity:
                         reason="no compiled lane kernel")
     def test_run_batch_mixed_eligibility(self):
         # One group, four cells: two run on the lane kernel, the
-        # non-power-of-two window and the policy scheme fall back to
-        # run_cell *inside* the batch — results identical either way.
+        # non-power-of-two window and the policy scheme run on the
+        # object model *inside* the batch — results identical either way.
         specs = [
             CellSpec(kind="general", benchmark="astar", window=(16, 15),
                      n_refs=1500, seed=1),
@@ -399,7 +404,7 @@ class TestBitIdentity:
         assert [m["batch_amortized_decode"] for m in metas] == \
             [True, False, True, False]
         assert batch_meta["decode_reuses"] == 1
-        assert results == [run_cell(spec) for spec in specs]
+        assert results == [run_object_model(spec) for spec in specs]
 
 
 class TestBatchFaults:

@@ -2,15 +2,18 @@
 
 Lane execution must be invisible except in speed: grids run with any
 lane width (including 0: no batches, every cell through ``run_cell``,
-and 1: a width-1 kernel call per lowered cell) produce identical
-results, checked mode bypasses lane planning entirely, and a lane
-batch that hangs splits back into the ordinary per-cell retry
-machinery exactly like any other batch.
+which runs a lowerable cell as a width-1 kernel call of its own, and
+1: a width-1 kernel call per lowered cell in a batch) produce the
+object model's results, checked mode bypasses lane planning and the
+kernel entirely, and a lane batch that hangs splits back into the
+ordinary per-cell retry machinery exactly like any other batch.  The
+reference is always the object model (:func:`run_object_model`),
+never ``run_cell``, which itself lowers.
 
 The compiled kernel is the only lane backend.  Tests that need it skip
 on a host that cannot build it; the fallback tests run either way:
 without the kernel, or for a cell it cannot run, a lane-kind cell takes
-the per-cell path.
+the object model.
 """
 
 import dataclasses
@@ -33,10 +36,11 @@ from repro.runner.batch import (
     resolve_lanes,
     run_batch,
 )
-from repro.runner.cells import CellSpec, run_cell
+from repro.runner.cells import CellSpec
 from repro.runner.pool import last_run_stats, run_cells
 from repro.runner.result_cache import ResultCache
 from repro.runner.telemetry import read_events
+from tests.object_model import run_object_model
 
 needs_kernel = pytest.mark.skipif(not lanes_mod.native_available(),
                                   reason="no compiled lane kernel")
@@ -65,8 +69,8 @@ class HangingLaneMember:
 
     It copies a real cell's ``batch_group_key()`` so the planner puts
     it into the same lane batch, but it is not a ``CellSpec`` — the
-    lowering step rejects it, so inside the batch it takes the
-    per-cell fallback, where its first ``run()`` sleeps for a minute.
+    lowering step rejects it, so inside the batch it runs through
+    ``run_cell``, where its first ``run()`` sleeps for a minute.
     Attempts are counted through marker files so the count spans the
     batch attempt and the per-cell retries after the split.
     """
@@ -218,19 +222,31 @@ class TestLanePlanner:
 class TestLaneRuns:
     @needs_kernel
     def test_widths_are_bit_identical(self, nocache, monkeypatch):
+        # Width 0 plans no batch, but every cell still runs on the
+        # kernel, each as a width-1 call of its own, and counts as
+        # vectorized like a batch's lanes.
         specs = _general_specs(n=6)
         runs = {}
         for width in (0, 1, 2, 3, 64):
             monkeypatch.setenv("REPRO_LANES", str(width))
             runs[width] = run_cells(specs, jobs=1, result_cache=nocache)
             stats = last_run_stats()
-            if width:
-                assert stats["vectorized_cells"] == 6
-                assert stats["lane_width"] == width
-            else:
-                assert stats["batches"] == 0
-                assert stats["vectorized_cells"] == 0
-        assert all(r == runs[0] for r in runs.values())
+            assert stats["vectorized_cells"] == 6
+            assert stats["lane_width"] == width
+            assert (stats["batches"] > 0) == (width > 0)
+        reference = [run_object_model(spec) for spec in specs]
+        assert all(r == reference for r in runs.values())
+
+    @needs_kernel
+    def test_lone_pending_cell_counts_as_vectorized(self, nocache):
+        # One pending cell is never batched: run_cell runs it as a
+        # width-1 kernel call, and the run counts it as vectorized.
+        (spec,) = _general_specs(n=1)
+        assert run_cells([spec], jobs=1, result_cache=nocache) == \
+            [run_object_model(spec)]
+        stats = last_run_stats()
+        assert stats["batches"] == 0
+        assert stats["vectorized_cells"] == 1
 
     @needs_kernel
     def test_batch_finish_carries_lane_fields(self, nocache, tmp_path,
@@ -249,7 +265,7 @@ class TestLaneRuns:
     def test_mixed_eligibility_batch(self, monkeypatch):
         # (2, 2) is not a power of two and the policy scheme never
         # lowers: both run through run_cell inside the lane batch, and
-        # every result matches its per-cell run.
+        # every result matches its object-model run.
         specs = _general_specs(n=3) + [
             CellSpec(kind="general", benchmark="astar", window=(2, 2),
                      n_refs=1500, seed=0),
@@ -265,16 +281,15 @@ class TestLaneRuns:
         # Per-cell meta records the actual chunk size for laned members
         # and no lane field for fallbacks.
         assert [m.get("lane_width") for m in metas] == [3, 3, 3, None, None]
-        assert results == [run_cell(spec) for spec in specs]
+        assert results == [run_object_model(spec) for spec in specs]
 
     @needs_kernel
     def test_leftover_cell_of_a_grid_runs_on_a_lane(self, nocache,
                                                     monkeypatch):
         # Five cells at width 2 plan as 2 + 2 + 1: the leftover cell is
-        # a one-cell batch on a width-1 lane call, not a per-cell run.
+        # a one-cell batch on a width-1 lane call, not a lone cell.
         specs = _general_specs(n=5)
-        monkeypatch.setenv("REPRO_LANES", "0")
-        per_cell = run_cells(specs, jobs=1, result_cache=nocache)
+        per_cell = [run_object_model(spec) for spec in specs]
         monkeypatch.setenv("REPRO_LANES", "2")
         assert run_cells(specs, jobs=1, result_cache=nocache) == per_cell
         stats = last_run_stats()
@@ -291,7 +306,7 @@ class TestLaneRuns:
         assert batch_meta["vectorized_cells"] == 3
         assert batch_meta["scalar_fallback_cells"] == 0
         assert [m["lane_width"] for m in metas] == [2, 2, 1]
-        assert results == [run_cell(spec) for spec in specs]
+        assert results == [run_object_model(spec) for spec in specs]
 
     def test_batch_without_lowered_cells_builds_no_group_state(
             self, monkeypatch):
@@ -313,11 +328,11 @@ class TestLaneRuns:
         assert batch_meta["vectorized_cells"] == 0
         assert batch_meta["scalar_fallback_cells"] == 1
         assert metas[0].get("lane_width") is None
-        assert results == [run_cell(spec)]
+        assert results == [run_object_model(spec)]
 
     @needs_kernel
     def test_crypto_batch_with_ineligible_member(self):
-        # random_fill_newcache never lowers: it falls back to run_cell
+        # random_fill_newcache never lowers: it runs on the object model
         # inside the crypto batch while the Figure 6 schemes lane.
         specs = _crypto_specs(seed=1)
         specs.append(CellSpec(kind="crypto", scheme="random_fill_newcache",
@@ -328,7 +343,7 @@ class TestLaneRuns:
         assert batch_meta["vectorized_cells"] == 4
         assert batch_meta["scalar_fallback_cells"] == 1
         assert [m.get("lane_width") for m in metas] == [4, 4, 4, 4, None]
-        assert results == [run_cell(spec) for spec in specs]
+        assert results == [run_object_model(spec) for spec in specs]
 
     @needs_kernel
     def test_crypto_widths_are_bit_identical(self, nocache, monkeypatch):
@@ -339,21 +354,20 @@ class TestLaneRuns:
             runs[width] = run_cells(specs, jobs=1, result_cache=nocache)
             stats = last_run_stats()
             assert stats["batched_cells"] == (8 if width else 0)
-            assert stats["vectorized_cells"] == (8 if width else 0)
+            assert stats["vectorized_cells"] == 8
         assert all(r == runs[0] for r in runs.values())
-        assert runs[0] == [run_cell(spec) for spec in specs]
+        assert runs[0] == [run_object_model(spec) for spec in specs]
 
     def test_lanes_fallback_event_once(self, nocache, monkeypatch, tmp_path):
         # A garbage artifact at the kernel's cache path is never called:
         # no cell lowers, so every cell of a grid mixing general and
-        # crypto groups runs per cell inside its batch, with the results
-        # of a run that plans no batches, and the telemetry names the
-        # reason exactly once.
+        # crypto groups runs on the object model inside its batch, with
+        # the results of a run on the kernel, and the telemetry names
+        # the reason exactly once.
         specs = _general_specs(n=4) + _crypto_specs(
             ((8 * 1024, 1), (16 * 1024, 2)), seed=3)
-        monkeypatch.setenv("REPRO_LANES", "0")
-        expected = run_cells(specs, jobs=1, result_cache=nocache)
         monkeypatch.setenv("REPRO_LANES", "64")
+        expected = run_cells(specs, jobs=1, result_cache=nocache)
         monkeypatch.setenv("REPRO_LANES_CACHE", str(tmp_path / "lanes"))
         monkeypatch.setattr(lanes_mod, "_native_fn", None)
         monkeypatch.setattr(lanes_mod, "_native_tried", False)
@@ -384,19 +398,24 @@ class TestLaneRuns:
         assert checked == run_cells(specs, jobs=1, result_cache=nocache)
 
     def test_run_batch_checked_guard_skips_lanes(self, monkeypatch):
-        # Belt-and-braces: even a batch dispatched under REPRO_CHECK
-        # (the parent normally never plans one) runs per-cell.
+        # Even a batch dispatched under REPRO_CHECK (the parent never
+        # plans one) runs every cell on the object model with the
+        # oracle: lowering declines every cell under a checker.
         monkeypatch.setenv("REPRO_CHECK", "256")
-        batch = CellBatch("b0", "general", tuple(_general_specs(n=2)))
-        _results, metas, batch_meta = run_batch(batch, lanes=64)
-        assert "lane_width" not in batch_meta
+        specs = _general_specs(n=2)
+        batch = CellBatch("b0", "general", tuple(specs))
+        results, metas, batch_meta = run_batch(batch, lanes=64)
+        assert batch_meta["vectorized_cells"] == 0
+        assert batch_meta["scalar_fallback_cells"] == 2
         assert all("lane_width" not in m for m in metas)
         assert batch_meta.get("checks_run", 0) > 0
+        monkeypatch.delenv("REPRO_CHECK")
+        assert results == [run_object_model(spec) for spec in specs]
 
 
 class TestPerCellFallback:
     """A cell the compiled kernel cannot run lowers to ``None`` and runs
-    through ``run_cell``; a kernel call that fails raises and leaves the
+    on the object model; a kernel call that fails raises and leaves the
     per-cell retry to the supervisor."""
 
     def test_unavailable_kernel_lowers_nothing(self, monkeypatch):
@@ -406,7 +425,8 @@ class TestPerCellFallback:
 
     def test_big_mshr_runs_per_cell(self):
         # The kernel bounds its drain scratch at 64 MSHR entries: a
-        # larger file does not lower, and its batch runs it per cell.
+        # larger file does not lower, and its batch runs it on the
+        # object model.
         config = dataclasses.replace(BASELINE_CONFIG, mshr_entries=128)
         spec = CellSpec(kind="general", benchmark="astar",
                         scheme="random_fill", window=(4, 3), n_refs=1200,
@@ -416,20 +436,20 @@ class TestPerCellFallback:
         results, metas, batch_meta = run_batch(batch, lanes=64)
         assert batch_meta["vectorized_cells"] == 0
         assert batch_meta["scalar_fallback_cells"] == 1
-        assert results == [run_cell(spec)]
+        assert results == [run_object_model(spec)]
 
     def test_failed_native_call_raises_and_runs_per_cell(
             self, nocache, monkeypatch, tmp_path):
         # A kernel call that scribbles over its state buffer and then
         # fails raises and hands nothing back; the supervisor splits
-        # the batch and finishes its cells one by one.
+        # the batch and retries its cells one by one, where the
+        # kernel-backed cells fail again and the run raises: a failing
+        # kernel costs a result, never changes one.
         def failing(*args):
             args[6][0] = 12345           # state: the first lane's RNG block
             return -1
 
         specs = _general_specs(n=4)
-        monkeypatch.setenv("REPRO_LANES", "0")
-        expected = run_cells(specs, jobs=1, result_cache=nocache)
         monkeypatch.setattr(lanes_mod, "_native", lambda: failing)
         shared = group_state_for(specs[2])
         lowered = lower_cell(specs[2], shared.config)
@@ -440,10 +460,14 @@ class TestPerCellFallback:
         assert lowered.rng.word_state() == before
         monkeypatch.setenv("REPRO_LANES", "64")
         log = str(tmp_path / "telemetry.jsonl")
-        assert run_cells(specs, jobs=1, result_cache=nocache, telemetry=log) == expected
+        with pytest.raises(RuntimeError, match="code -1"):
+            run_cells(specs, jobs=1, retries=1, result_cache=nocache,
+                      telemetry=log)
         assert last_run_stats()["vectorized_cells"] == 0
-        (split,) = [e for e in read_events(log) if e["event"] == "batch_split"]
+        events = read_events(log)
+        (split,) = [e for e in events if e["event"] == "batch_split"]
         assert "code -1" in split["error"]
+        assert [e["index"] for e in events if e["event"] == "cell_retry"] == [0]
 
 
 class TestLaneBatchFaults:
@@ -457,7 +481,7 @@ class TestLaneBatchFaults:
         # The lane batch hung on the duck-typed member; after the
         # timeout the batch split and every cell — laned members
         # included — completed through the per-cell machinery.
-        assert results[:3] == [run_cell(spec) for spec in specs[:3]]
+        assert results[:3] == [run_object_model(spec) for spec in specs[:3]]
         assert results[3] == ("ok", "sleeper")
         stats = last_run_stats()
         assert stats["timeouts"] >= 1

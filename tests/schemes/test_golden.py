@@ -4,9 +4,11 @@
 running against the pre-registry adapters (the if/elif ladders the
 registry replaced).  Replaying the same specs through the registry and
 requiring exact equality — every float, every success-curve point —
-pins that the migration moved no measured result.  Regenerate the file
-only for a deliberate, documented measurement change (see the
-generator's docstring).
+pins that the migration moved no measured result.  Every timing cell
+replays on the object model, and every one that lowers replays on the
+lane kernel too (``run_cell`` runs it as a width-1 kernel call), so
+the pin guards both paths.  Regenerate the file only for a deliberate,
+documented measurement change (see the generator's docstring).
 """
 
 import dataclasses
@@ -15,8 +17,11 @@ import os
 
 import pytest
 
+from repro.cpu.batch import lane_eligible
+from repro.cpu.lanes import cells_run
 from repro.leakage.sweep import LeakageCellSpec
 from repro.runner.cells import CellSpec, run_cell
+from tests.object_model import run_object_model
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_schemes.json")
 
@@ -53,9 +58,8 @@ def test_leakage_cell_bit_identical(cell):
     assert replayed == cell
 
 
-@pytest.mark.parametrize("cell", GOLDEN["timing"], ids=_timing_id)
-def test_timing_cell_bit_identical(cell):
-    spec = CellSpec(
+def _timing_spec(cell):
+    return CellSpec(
         kind="general",
         scheme=cell["scheme"],
         benchmark="astar",
@@ -63,9 +67,26 @@ def test_timing_cell_bit_identical(cell):
         n_refs=6000,
         seed=7,
     )
-    replayed = {
+
+
+def _replayed(cell, result):
+    return {
         "scheme": cell["scheme"],
         "window": cell["window"],
-        **dataclasses.asdict(run_cell(spec)),
+        **dataclasses.asdict(result),
     }
-    assert replayed == cell
+
+
+@pytest.mark.parametrize("cell", GOLDEN["timing"], ids=_timing_id)
+def test_timing_cell_bit_identical(cell):
+    """``run_cell``: the lane kernel for a cell that lowers."""
+    spec = _timing_spec(cell)
+    before = cells_run()
+    result = run_cell(spec)
+    assert cells_run() - before == (1 if lane_eligible(spec) else 0)
+    assert _replayed(cell, result) == cell
+
+
+@pytest.mark.parametrize("cell", GOLDEN["timing"], ids=_timing_id)
+def test_timing_cell_bit_identical_on_object_model(cell):
+    assert _replayed(cell, run_object_model(_timing_spec(cell))) == cell

@@ -171,7 +171,7 @@ class TestLaneFlags:
             assert lane_eligible(self._cell(name, None, kind="crypto")), name
 
     def test_pow2_window_only_gate(self):
-        # (4, 2) is a 7-entry window: the fused kernel masks draws, so
+        # (4, 2) is a 7-entry window: the lane kernel masks draws, so
         # the registry flag must keep the cell off the lane path.
         assert not lane_eligible(self._cell("random_fill", (4, 2)))
 

@@ -70,6 +70,23 @@ def test_leakage_import_skips_aes_tables():
         "print('repro.crypto' in sys.modules)") == "False"
 
 
+def test_leakage_sweep_skips_aes_tables():
+    # Running a grid imports the attack code the cells need (the
+    # flush-reload trials), not the collision attack: no AES tables.
+    assert _fresh_python(
+        "import sys; "
+        "from repro.leakage.sweep import LeakageCellSpec, run_leakage_sweep; "
+        "from repro.runner.result_cache import RESULT_CACHE; "
+        "specs = [LeakageCellSpec(channel=channel, scheme=scheme, "
+        "window=window, trials=40, curve_repeats=2) for channel, scheme, "
+        "window in (('flush_reload', 'random_fill', (4, 3)), "
+        "('occupancy', 'demand_fetch', None), ('eq7', 'random_fill', (4, 3)))]; "
+        "ctx = RESULT_CACHE.disabled(); ctx.__enter__(); "
+        "results = run_leakage_sweep(specs, jobs=1); "
+        "print(len(results), 'repro.crypto.aes_tables' in sys.modules)"
+    ) == "3 False"
+
+
 def test_every_package_imports_first():
     # With no eager package imports fixing the order, an import cycle
     # (the runner and the experiment harness import each other) shows
