@@ -34,8 +34,9 @@ engine, the content-addressed result cache, and the lane kernel:
   and the kernel (every checked cell runs the object model under the
   oracle), and its on-mode slowdown over the unchecked object model
   must stay under a soft ceiling,
-* neither ``single_cell_s`` (one ``run_cell``: a width-1 kernel call)
-  nor ``fig10_20k_sweep_s`` may regress more than 30% against the
+* one ``run_cell`` (a width-1 kernel call) must be >= 15x faster than
+  the same cell on the object model, both timed in this run, and
+  ``fig10_20k_sweep_s`` may not regress more than 30% against the
   committed baseline (the CI perf smoke gate),
 * the CLI's ``leakage --smoke`` grid (functional trial loops and
   estimators, no timing model) at ``jobs=1`` may not regress more than
@@ -81,7 +82,7 @@ from repro.runner import CellSpec, record_bench, resolve_jobs, run_cell
 from repro.runner.pool import last_run_stats
 from repro.runner.result_cache import RESULT_CACHE
 from repro.util.tables import format_table
-from repro.workloads.cache import cached_workload
+from repro.workloads.cache import TRACE_CACHE, cached_workload
 from repro.workloads.spec import make_workload
 
 SEED_SINGLE_CELL_S = 0.322   # seed revision, reference container
@@ -101,6 +102,18 @@ BASE_LEAKAGE_SMOKE_S = 1.50
 
 #: CI perf smoke gate: fail on more than this regression vs. the baseline
 MAX_REGRESSION = 1.30
+
+#: one cell (bzip2, window [-4,3], 100k refs) as a width-1 kernel call
+#: vs the same cell on the object model, both min-of-5 process CPU
+#: seconds in this run.  Eleven smoke runs on a shared 2-vCPU host
+#: (Intel Xeon, Python 3.11.7) read 26.6-74.0x (median 57.5x) when the
+#: gate landed, and ten of the code before it, alternating with them,
+#: 31.9-93.9x (median 50.7x): the kernel side is a 3-6 ms timing, so the
+#: ratio swings with host load.  The bar sits near half the lowest
+#: reading.  A kernel cell about 4x slower than the median trips it;
+#: the absolute ``single_cell_s <= 0.1408 * 1.3`` gate it replaced
+#: tripped only at about 48x.
+MIN_SINGLE_CELL_SPEEDUP = 15
 
 #: message size of the Figure 6 lane-vs-object-model gate (KB)
 FIG6_MESSAGE_KB = 1
@@ -206,10 +219,15 @@ def _reference_primitives():
 def run():
     # Warm the trace cache first so the timings below measure
     # simulation, not trace synthesis (the baselines were measured the
-    # same way).
+    # same way).  The trace cache's memory layer keeps two traces, so
+    # nine of these ten come back from its disk layer inside the timed
+    # rounds (a load, not a synthesis): the eight 20k-ref traces in
+    # every Figure 10 round, the AES trace in the first Figure 6 round.
     for benchmark in FIG10_BENCHMARKS:
         cached_workload(benchmark, n_refs=20_000, seed=5)
     cached_workload("bzip2", n_refs=100_000, seed=5)
+    cached_cbc_trace(message_kb=FIG6_MESSAGE_KB, seed=5)
+    synthesized = TRACE_CACHE.misses
 
     spec = CellSpec(kind="general", benchmark="bzip2", window=(4, 3),
                     n_refs=100_000, seed=5)
@@ -232,8 +250,6 @@ def run():
         pool_stats = last_run_stats()
     # Figure 6: per-geometry crypto batches on the lane kernel vs the
     # object model (TimingModel.run per cell).
-    cached_cbc_trace(message_kb=FIG6_MESSAGE_KB, seed=5)
-
     def fig6_sweep():
         return figure6(message_kb=FIG6_MESSAGE_KB, seed=5, jobs=1)
 
@@ -267,6 +283,7 @@ def run():
         shutil.rmtree(tmp_dir, ignore_errors=True)
     cache_match = (_points_key(sequential) == _points_key(filled)
                    == _points_key(warm))
+    timed_trace_misses = TRACE_CACHE.misses - synthesized
 
     # Trace synthesis: bulk primitives vs the per-record loops, after
     # the timings above so their set-up is unchanged, and alternating so
@@ -345,6 +362,7 @@ def run():
         "single_cell_speedup_vs_seed": round(SEED_SINGLE_CELL_S / single_s, 2),
         "single_cell_speedup_vs_base": round(BASE_SINGLE_CELL_S / single_s, 2),
         "single_cell_object_model_s": round(object_model_s, 4),
+        "single_cell_speedup_vs_object_model": round(object_model_s / single_s, 1),
         "single_cell_checked_s": round(checked_s, 4),
         "check_overhead_on_x": round(checked_s / object_model_s, 2),
         "check_overhead_ceiling_x": MAX_CHECK_OVERHEAD_X,
@@ -382,6 +400,7 @@ def run():
         "fig10_20k_warm_s": round(warm_s, 4),
         "warm_speedup": round(cold_s / warm_s, 1),
         "warm_cache_hits": warm_stats.get("result_cache_hits", 0),
+        "timed_trace_misses": timed_trace_misses,
         "cells": len(sequential),
         "cells_per_sec": round(len(sequential) / cold_s, 2),
         "parallel_jobs": jobs,
@@ -440,10 +459,18 @@ def test_runner_speedups(benchmark):
     # Result cache: identical re-run is served from disk, >= 10x faster.
     assert payload["warm_speedup"] >= 10
 
+    # The timed rounds read every trace from the trace cache's memory
+    # or disk layer: none of them pays for a synthesis.
+    assert payload["timed_trace_misses"] == 0
+
+    # One cell on the kernel against the same cell on the object model,
+    # both timed in this run, so host load reaches both sides.
+    assert (payload["single_cell_speedup_vs_object_model"]
+            >= MIN_SINGLE_CELL_SPEEDUP)
+
     # CI perf smoke gate: no >30% regression against the baseline.  The
     # cold sweep now runs through the supervision layer, so this bar is
     # also the acceptance test that supervision overhead stays small.
-    assert payload["single_cell_s"] <= BASE_SINGLE_CELL_S * MAX_REGRESSION
     assert payload["fig10_20k_sweep_s"] <= BASE_FIG10_20K_S * MAX_REGRESSION
     assert payload["leakage_smoke_cells"] == 19
     assert payload["leakage_smoke_s"] <= BASE_LEAKAGE_SMOKE_S * MAX_REGRESSION

@@ -12,6 +12,12 @@ numpy scalars.
 Instances are memoized on the :class:`~repro.cpu.trace.Trace`
 (``trace.decoded(line_shift)``), so the eleven Figure-10 windows that
 replay one benchmark trace at jobs=1 share a single decode.
+
+A decode holds the ``addr``/``gap``/``write`` columns it reads, not its
+trace.  The trace memoizes the decode, so a back reference would be a
+cycle that only the cyclic collector frees, and the runner pauses that
+collector while cells run.  Without the cycle, reference counting frees
+a trace the trace cache drops at once, with its decodes and slices.
 """
 
 from __future__ import annotations
@@ -38,13 +44,16 @@ class TraceDecode:
       prefix used to pre-warm the L2.
     """
 
-    __slots__ = ("trace", "line_shift", "_lines", "_lines_list",
-                 "_writes_list", "_issue_steps", "_footprints")
+    __slots__ = ("addr", "gap", "write", "line_shift", "_lines",
+                 "_lines_list", "_writes_list", "_issue_steps",
+                 "_footprints")
 
     def __init__(self, trace: Trace, line_shift: int):
         if line_shift < 0:
             raise ValueError(f"line_shift must be >= 0, got {line_shift}")
-        self.trace = trace
+        self.addr = trace.addr
+        self.gap = trace.gap
+        self.write = trace.write
         self.line_shift = line_shift
         self._lines: "np.ndarray | None" = None
         self._lines_list: "List[int] | None" = None
@@ -57,7 +66,7 @@ class TraceDecode:
     def lines(self) -> np.ndarray:
         """Line address column (``addr >> line_shift``), one numpy pass."""
         if self._lines is None:
-            self._lines = self.trace.addr >> self.line_shift
+            self._lines = self.addr >> self.line_shift
         return self._lines
 
     def lines_list(self) -> List[int]:
@@ -68,7 +77,7 @@ class TraceDecode:
 
     def writes_list(self) -> List[int]:
         if self._writes_list is None:
-            self._writes_list = self.trace.write.tolist()
+            self._writes_list = self.write.tolist()
         return self._writes_list
 
     # -- issue front-end -----------------------------------------------------
@@ -84,7 +93,7 @@ class TraceDecode:
         """
         if issue_width < 1:
             raise ValueError(f"issue_width must be >= 1, got {issue_width}")
-        issued = np.cumsum(self.trace.gap) // issue_width
+        issued = np.cumsum(self.gap) // issue_width
         # np.diff(issued, prepend=0), in half the numpy calls: per-call
         # overhead dominates on the attack victims' short traces.
         steps = issued.copy()

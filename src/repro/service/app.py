@@ -199,10 +199,13 @@ class ServiceApp:
             pass
         finally:
             self._latencies.append(time.monotonic() - started)
+            # Shutdown may cancel the task while it waits here; a task
+            # that ends cancelled makes asyncio log the CancelledError
+            # from the stream protocol's done callback.
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
 

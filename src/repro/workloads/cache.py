@@ -4,12 +4,23 @@ Trace generation is deterministic given its parameters, so a trace is
 fully identified by a key tuple such as ``("spec", name, n_refs, seed,
 GENERATOR_VERSION)``.  The cache exploits that:
 
-* an **in-process LRU** layer keeps the most recently used traces as
-  live objects, so a sweep that runs the same benchmark under many
+* an **in-process LRU** layer keeps the two most recently used traces
+  as live objects, so a sweep that runs the same benchmark under many
   windows synthesizes the trace once,
 * an optional **on-disk** layer under ``~/.cache/repro/traces`` makes
   traces survive across processes (including the worker processes of
   the parallel runner) and across runs.
+
+The memory layer holds two traces because no reader uses more at once
+(a Figure 8 co-run cell reads its program trace plus the AES stress
+trace), and a live trace costs its columns plus every decode memoized
+on it.  Batch groups and the benchmark-major figure grids never come
+back to a trace once they move on, so a wider layer only keeps finished
+groups alive.  A dropped trace is freed at once, decodes included (see
+:mod:`repro.cpu.decode`): a cold 400k-ref Figure 10 sweep peaks at
+79 MB, against 142 MB when the layer held 32 traces.  A reader that
+does come back (Figure 8 reads each program trace once per cache
+configuration) gets the trace from the disk layer.
 
 The generator version is part of the key: bumping it orphans old disk
 entries rather than serving stale traces.  Set ``REPRO_TRACE_CACHE`` to
@@ -42,8 +53,10 @@ import numpy as np
 from repro.cpu.trace import Trace
 from repro.util.diskcache import maybe_evict
 
-#: default number of traces the in-process LRU layer retains
-DEFAULT_MEMORY_ENTRIES = 32
+#: default number of traces the in-process LRU layer retains: the widest
+#: reader, a Figure 8 co-run cell, reads its program trace plus the AES
+#: stress trace
+DEFAULT_MEMORY_ENTRIES = 2
 
 #: ``REPRO_TRACE_CACHE`` values that disable the on-disk layer
 _DISABLED_VALUES = frozenset({"0", "off", "none", "disabled"})

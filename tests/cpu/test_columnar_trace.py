@@ -1,5 +1,8 @@
 """Tests for the columnar Trace container and the batched pre-decode."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,22 @@ class TestTraceDecode:
     def test_negative_line_shift_rejected(self):
         with pytest.raises(ValueError):
             TraceDecode(Trace.from_records(RECORDS), -1)
+
+    def test_dropped_trace_frees_its_decodes_at_once(self):
+        # The decode holds the trace's columns, not the trace, so no
+        # reference cycle keeps a dropped trace alive until a full
+        # collection: its decodes and slices go with it.
+        addrs = list(range(0, 64 * 100, 64))
+        trace = Trace.from_columns(addrs, [1] * 100, [0] * 100)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            full = weakref.ref(trace.decoded(self.LINE_SHIFT).lines())
+            half = weakref.ref(trace[50:].decoded(self.LINE_SHIFT).lines())
+            assert full() is not None and half() is not None
+            del trace
+            assert full() is None
+            assert half() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -1,9 +1,14 @@
 """Unit tests for the two-layer (memory LRU + disk) trace cache."""
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
+from repro.cpu.decode import TraceDecode
+from repro.experiments.perf_general import figure10
+from repro.runner.result_cache import RESULT_CACHE
 from repro.workloads import cache as cache_mod
 from repro.workloads.cache import TraceCache, cached_workload, default_cache_dir
 from repro.workloads.spec import GENERATOR_VERSION, make_workload
@@ -135,3 +140,38 @@ class TestCachedWorkload:
         assert trace == make_workload("hmmer", n_refs=500, seed=3)
         # Second lookup is a memory hit on the very same object.
         assert cached_workload("hmmer", n_refs=500, seed=3) is trace
+
+
+class TestSweepMemory:
+    def test_cold_sweep_keeps_at_most_two_groups_alive(self, monkeypatch):
+        # A cold sweep over four benchmark groups, with the cyclic
+        # collector off: once the sweep moves past a group, its trace
+        # and every line column decoded from it must be freed by
+        # reference counting, except the two the memory layer keeps.
+        benchmarks = ("astar", "bzip2", "milc", "lbm")
+        n_refs = 2000
+        monkeypatch.setattr(cache_mod.TRACE_CACHE, "disk_dir", None)
+        cache_mod.TRACE_CACHE.clear_memory()
+        columns = []
+        decode_lines = TraceDecode.lines
+
+        def recording_lines(decode):
+            lines = decode_lines(decode)
+            # One whole-trace line column per group, on the lane kernel
+            # and on the object model alike (slices are shorter).
+            if len(lines) == n_refs and not any(ref() is lines for ref in columns):
+                columns.append(weakref.ref(lines))
+            return lines
+
+        monkeypatch.setattr(TraceDecode, "lines", recording_lines)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with RESULT_CACHE.disabled():
+                figure10(benchmarks=benchmarks, n_refs=n_refs, seed=3, jobs=1)
+            alive = sum(1 for ref in columns if ref() is not None)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(columns) == len(benchmarks)
+        assert alive <= 2

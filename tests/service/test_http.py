@@ -6,6 +6,7 @@ boot their own dedicated servers so their knobs don't perturb the
 shared one.
 """
 
+import asyncio
 import http.client
 import json
 import time
@@ -16,7 +17,7 @@ import repro.service.app as app_mod
 from repro.leakage.sweep import LeakageCellSpec
 from repro.runner.pool import run_cells
 from repro.runner.result_cache import ResultCache
-from repro.service.app import serve_in_thread
+from repro.service.app import ServiceApp, serve_in_thread
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.codec import CODEC_VERSION, encode_result, encode_sweep
 from repro.service.store import DiskResultStore
@@ -204,6 +205,37 @@ class TestStreamEndsWhenSettled:
         assert client.sweep(queued)["state"] == "cancelled"
         client.cancel(blocker)
         client.wait(blocker, timeout=120)
+
+
+class _ClosingWriter:
+    """A stream writer whose ``wait_closed`` is cancelled (server shutdown)."""
+
+    def get_extra_info(self, name):
+        return ("127.0.0.1", 1)
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        raise asyncio.CancelledError
+
+
+class TestConnectionShutdown:
+    def test_cancelled_close_does_not_cancel_the_task(self):
+        # A task that ends cancelled makes asyncio log the
+        # CancelledError from its stream protocol's callback at shutdown.
+        async def connection():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            app = ServiceApp(service=None)
+            task = asyncio.ensure_future(
+                app.handle_connection(reader, _ClosingWriter()))
+            await asyncio.wait([task])
+            return task
+
+        task = asyncio.run(connection())
+        assert not task.cancelled()
+        assert task.exception() is None
 
 
 class TestLifecycleErrors:
